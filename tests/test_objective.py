@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from opencon.core import InvalidTemperature, Rng, l2_normalize
+from opencon.encoder import Mlp, backward, forward
 from opencon.objective import (
     ContrastSets,
     EmptyPositiveSet,
@@ -12,6 +13,7 @@ from opencon.objective import (
     build_sets_supcon,
     decompose_alignment,
     kl_regularizer,
+    loss_modified,
     loss_novel,
     loss_opencon,
     loss_simclr,
@@ -365,3 +367,96 @@ class TestComposite:
             LossWeights(tau_l=0.0)
         with pytest.raises(ValueError):
             LossWeights(lambda_u=-0.1)
+
+
+class TestModified:
+    """The widened-supervised-term variant: labeled views plus gate-rejected
+    unlabeled views (tagged with their predicted class) in the supervised
+    term."""
+
+    def _inputs(self, seed=12):
+        rng = Rng(seed, "theory")
+        z_l = random_unit(rng, 6, 4)
+        labels_l = np.array([0, 0, 1, 1, 0, 0])
+        z_u = random_unit(rng, 8, 4)
+        ids_u = np.repeat(np.arange(4), 2)
+        protos = random_unit(rng, 5, 4)
+        pseudo_u = np.array([1, 0, 3, 3, 1, 0, 4, 4])
+        return z_l, labels_l, z_u, ids_u, protos, pseudo_u
+
+    def test_equals_standard_loss_when_gate_rejects_nothing(self):
+        z_l, labels_l, z_u, ids_u, protos, pseudo_u = self._inputs()
+        every_row = np.arange(len(z_u))
+        w = LossWeights()
+        std = loss_opencon(z_l, labels_l, z_u, ids_u, every_row, pseudo_u,
+                           protos, w)
+        mod = loss_modified(z_l, labels_l, z_u, ids_u, every_row, pseudo_u,
+                            pseudo_u, protos, w)
+        assert mod[0] == std[0]
+        np.testing.assert_array_equal(mod[1], std[1])
+        np.testing.assert_array_equal(mod[2], std[2])
+
+    def test_supervised_term_covers_rejected_rows(self):
+        z_l, labels_l, z_u, ids_u, protos, pseudo_u = self._inputs()
+        novel_rows = np.array([2, 3, 6, 7])
+        rejected = np.array([0, 1, 4, 5])
+        w = LossWeights()
+        bd, grad_l, grad_u = loss_modified(
+            z_l, labels_l, z_u, ids_u, novel_rows, pseudo_u[novel_rows],
+            pseudo_u, protos, w)
+        val_k, g_k, _ = loss_supcon(np.concatenate([z_l, z_u[rejected]]),
+                                    np.concatenate([labels_l, pseudo_u[rejected]]),
+                                    w.tau_l)
+        assert bd.l == pytest.approx(val_k, abs=1e-12)
+        np.testing.assert_allclose(grad_l, w.lambda_l * g_k[:len(z_l)], atol=1e-12)
+        _, g_u_only, _ = loss_simclr(z_u, ids_u, w.tau_u)
+        _, g_n_only, _ = loss_novel(z_u[novel_rows], pseudo_u[novel_rows], w.tau_n)
+        _, g_kl = kl_regularizer(z_u, protos, w.tau_n, np.full(5, 0.2))
+        expected_u = w.lambda_u * g_u_only + w.kl_weight * g_kl
+        expected_u[rejected] += w.lambda_l * g_k[len(z_l):]
+        expected_u[novel_rows] += w.lambda_n * g_n_only
+        np.testing.assert_allclose(grad_u, expected_u, atol=1e-12)
+
+    def test_gradient_through_encoder_matches_finite_differences(self):
+        rng = Rng(13, "theory")
+        w = LossWeights()
+        for trial in range(4):
+            m, h, d = (int(v) for v in rng.integers(3, 9, size=3))
+            b_l, b_u = 3, 4
+            mlp = Mlp.init(m, h, d, rng)
+            mlp.b2 += 0.2 * rng.normal(size=d)
+            x_l = rng.normal(size=(2 * b_l, m))
+            x_u = rng.normal(size=(2 * b_u, m))
+            labels_l = np.repeat(rng.integers(0, 2, size=b_l), 2)
+            ids_u = np.repeat(np.arange(b_u), 2)
+            pseudo_u = np.repeat(rng.integers(0, 4, size=b_u), 2)
+            novel_rows = np.arange(4) if trial % 2 else np.array([0, 1, 6, 7])
+            protos = l2_normalize(rng.normal(size=(4, d)))
+
+            def run(net):
+                z_l, tape_l = forward(net, x_l)
+                z_u, tape_u = forward(net, x_u)
+                bd, g_l, g_u = loss_modified(
+                    z_l, labels_l, z_u, ids_u, novel_rows,
+                    pseudo_u[novel_rows], pseudo_u, protos, w)
+                grads = backward(net, tape_l, g_l)
+                grads.add_(backward(net, tape_u, g_u))
+                return bd.total, np.concatenate(
+                    [g.ravel() for g in (grads.w1, grads.b1, grads.w2, grads.b2)])
+
+            _, analytic = run(mlp)
+            names = list(mlp.params())
+            numeric = []
+            eps = 1e-5
+            for name in names:
+                param = getattr(mlp, name)
+                for idx in np.ndindex(param.shape):
+                    probe = mlp.copy()
+                    getattr(probe, name)[idx] += eps
+                    hi = run(probe)[0]
+                    getattr(probe, name)[idx] -= 2 * eps
+                    lo = run(probe)[0]
+                    numeric.append((hi - lo) / (2 * eps))
+            numeric = np.array(numeric)
+            rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(numeric), 1e-12)
+            assert rel < 1e-6
