@@ -23,7 +23,11 @@ from opencon.data import (
     write_features,
 )
 from opencon.encoder import forward
-from opencon.evaluation import estimate_class_number, run_verification_suite
+from opencon.evaluation import (
+    converged_cluster_count,
+    estimate_class_number,
+    run_verification_suite,
+)
 from opencon.prototype import pseudo_labels
 from opencon.trainer import (
     LOSS_COMPONENT_VARIANTS,
@@ -34,6 +38,7 @@ from opencon.trainer import (
     checkpoint_save,
     detection_report,
     evaluate_model,
+    json_clean,
     train,
 )
 
@@ -198,7 +203,7 @@ def cmd_eval(args) -> int:
     detection = detection_report(state.mlp, state.store, split, args.tau)
     payload = {
         "accuracy": triple.as_dict(),
-        "converged_prototypes": int(np.sum(state.store.assignment_counts > 0)),
+        "converged_prototypes": converged_cluster_count(state.store),
         "detection": {k: {"auroc": v.auroc, "fpr95": v.fpr95}
                       for k, v in detection.items()},
     }
@@ -362,7 +367,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         state = getattr(exc, "state", None)
         if state is not None:
-            print(f"diagnostic: {json.dumps(state, sort_keys=True)}", file=sys.stderr)
+            diagnostic = json.dumps(json_clean(state), sort_keys=True, allow_nan=False)
+            print(f"diagnostic: {diagnostic}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)

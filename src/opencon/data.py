@@ -59,14 +59,6 @@ class DimensionMismatch(OpenConError):
 
 
 @dataclass(frozen=True)
-class Sample:
-    id: int
-    input: np.ndarray
-    true_class: int
-    is_labeled: bool
-
-
-@dataclass(frozen=True)
 class Dataset:
     """A flat pool of feature rows with (possibly hidden) integer labels.
 
@@ -93,10 +85,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def sample(self, i: int) -> Sample:
-        lab = int(self.labels[i])
-        return Sample(int(self.ids[i]), self.features[i], lab, lab != UNLABELED)
 
 
 def generate_synthetic(
@@ -272,7 +260,6 @@ class MultiViewBatch:
     view_index: np.ndarray  # (2b,) 0 or 1
     inputs: np.ndarray      # (2b, m) augmented
     labels: np.ndarray      # (2b,) int64, -1 = none
-    origin: str             # "labeled" | "unlabeled"
 
     @property
     def n_views(self) -> int:
@@ -287,7 +274,6 @@ def _two_views(
     features: np.ndarray,
     sample_ids: np.ndarray,
     labels: np.ndarray,
-    origin: str,
     rng_augment: Rng,
     cfg: AugmentConfig,
 ) -> MultiViewBatch:
@@ -299,7 +285,6 @@ def _two_views(
         view_index=np.tile(np.array([0, 1], np.int64), b),
         inputs=views,
         labels=np.asarray(labels, np.int64)[rep],
-        origin=origin,
     )
 
 
@@ -352,7 +337,7 @@ class BatchSampler:
             rows_l = split.labeled_idx[lsel]
             batch_l = _two_views(
                 split.features[rows_l], split.ids[rows_l], split.labels[rows_l],
-                "labeled", self.rng_augment, self.cfg,
+                self.rng_augment, self.cfg,
             )
             if self.b_u > 0:
                 usel = perm_u[it * self.b_u:(it + 1) * self.b_u]
@@ -360,22 +345,14 @@ class BatchSampler:
                 batch_u = _two_views(
                     split.features[rows_u], split.ids[rows_u],
                     np.full(len(rows_u), UNLABELED, np.int64),
-                    "unlabeled", self.rng_augment, self.cfg,
+                    self.rng_augment, self.cfg,
                 )
             else:
                 batch_u = MultiViewBatch(
                     np.zeros(0, np.int64), np.zeros(0, np.int64),
-                    np.zeros((0, m)), np.zeros(0, np.int64), "unlabeled",
+                    np.zeros((0, m)), np.zeros(0, np.int64),
                 )
             yield batch_l, batch_u
-
-
-def sample_batches(split: SplitDataset, b_l: int, b_u: int, rng: Rng,
-                   rng_augment: Rng | None = None,
-                   cfg: AugmentConfig | None = None):
-    """One-epoch convenience wrapper around :class:`BatchSampler`."""
-    aug = rng_augment if rng_augment is not None else rng
-    return list(BatchSampler(split, b_l, b_u, rng, aug, cfg).epoch())
 
 
 # ---------------------------------------------------------------------------

@@ -71,9 +71,6 @@ class Grads:
     w2: np.ndarray
     b2: np.ndarray
 
-    def scaled(self, a: float) -> "Grads":
-        return Grads(a * self.w1, a * self.b1, a * self.w2, a * self.b2)
-
     def add_(self, other: "Grads") -> "Grads":
         self.w1 += other.w1
         self.b1 += other.b1

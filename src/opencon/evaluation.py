@@ -95,9 +95,11 @@ def _matched_accuracy(pred: np.ndarray, truth: np.ndarray, n_pred_ids: int,
         for row, col in pin.items():
             cost[row] = big
             cost[row, col] = -counts[row, col]
-    assign = hungarian(cost)
-    matched = sum(counts[r, assign[r]] for r in range(n_pred_ids) if assign[r] >= 0)
-    return float(matched) / len(pred)
+    # counts are integers, so any optimal assignment gives the exact matched
+    # count; pin-penalty cells (positive cost) match nothing
+    rows, cols = linear_sum_assignment(cost)
+    hit = cost[rows, cols] <= 0
+    return float(counts[rows, cols][hit].sum()) / len(pred)
 
 
 def accuracy_triple(

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opencon.core import InvalidTemperature, OpenConError, as_f64, stable_sum
+from opencon.core import (
+    InvalidTemperature,
+    OpenConError,
+    as_f64,
+    log_sum_exp,
+    softmax,
+    stable_sum,
+)
 
 
 class EmptyPositiveSet(OpenConError):
@@ -83,9 +90,7 @@ def _anchor_terms(sim_row: np.ndarray, positives: np.ndarray,
     log-partition = logsumexp of s/tau over negatives.
     """
     s_pos = sim_row[positives] / tau
-    s_neg = sim_row[negatives] / tau
-    m = float(np.max(s_neg))
-    lse = m + float(np.log(stable_sum(np.exp(s_neg - m))))
+    lse = log_sum_exp(sim_row[negatives] / tau)
     align = -stable_sum(s_pos) / len(positives)
     return align, lse
 
@@ -115,8 +120,7 @@ def per_sample_loss(embeddings: np.ndarray, sets: ContrastSets,
     grad = np.zeros_like(z)
     coeff = np.zeros(len(z))
     np.add.at(coeff, sets.positives, -1.0 / (len(sets.positives) * tau))
-    s_neg = sim_row[sets.negatives] / tau
-    w = np.exp(s_neg - (np.max(s_neg) + np.log(np.sum(np.exp(s_neg - np.max(s_neg))))))
+    w = softmax(sim_row[sets.negatives], tau)
     np.add.at(coeff, sets.negatives, w / tau)
     grad[a] += coeff @ z
     grad += np.outer(coeff, z[a])
@@ -262,10 +266,7 @@ def kl_regularizer(z: np.ndarray, prototypes: np.ndarray, tau: float,
     n = len(z)
     if n == 0:
         return 0.0, np.zeros_like(z)
-    logits = z @ m.T / tau
-    logits -= logits.max(axis=1, keepdims=True)
-    q = np.exp(logits)
-    q /= q.sum(axis=1, keepdims=True)
+    q = softmax(z @ m.T, tau)
     q_bar = np.sum(np.sort(q, axis=0), axis=0) / n
     kl = stable_sum(q_bar * (np.log(q_bar) - np.log(prior)))
     g = np.log(q_bar) - np.log(prior) + 1.0
@@ -276,6 +277,42 @@ def kl_regularizer(z: np.ndarray, prototypes: np.ndarray, tau: float,
 
 def _uniform_prior(n_classes: int) -> np.ndarray:
     return np.full(n_classes, 1.0 / n_classes)
+
+
+def _composite(z_l, labels_l, z_u, sample_ids_u, novel_rows, pseudo_novel,
+               prototypes, weights, prior, drop_l, drop_u, drop_n,
+               extra_rows, extra_labels) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
+    """Body of both composite losses. The supervised term covers the labeled
+    views plus the unlabeled views `extra_rows`, labeled `extra_labels`."""
+    z_l = as_f64(z_l)
+    z_u = as_f64(z_u)
+    grad_l = np.zeros_like(z_l)
+    grad_u = np.zeros_like(z_u)
+    val_l = val_u = val_n = val_kl = 0.0
+
+    if not drop_l and len(z_l) + extra_rows.size:
+        z_k, y_k = z_l, labels_l
+        if extra_rows.size:
+            z_k = np.concatenate([z_l, z_u[extra_rows]])
+            y_k = np.concatenate([np.asarray(labels_l, np.int64), extra_labels])
+        val_l, g, _ = loss_supcon(z_k, y_k, weights.tau_l)
+        grad_l += weights.lambda_l * g[:len(z_l)]
+        np.add.at(grad_u, extra_rows, weights.lambda_l * g[len(z_l):])
+    if not drop_u and len(z_u):
+        val_u, g, _ = loss_simclr(z_u, sample_ids_u, weights.tau_u)
+        grad_u += weights.lambda_u * g
+    novel_rows = np.asarray(novel_rows, dtype=np.int64)
+    if not drop_n and novel_rows.size:
+        val_n, g_n, _ = loss_novel(z_u[novel_rows], pseudo_novel, weights.tau_n)
+        np.add.at(grad_u, novel_rows, weights.lambda_n * g_n)
+    if weights.kl_weight > 0 and len(z_u):
+        p = prior if prior is not None else _uniform_prior(prototypes.shape[0])
+        val_kl, g = kl_regularizer(z_u, prototypes, weights.tau_n, p)
+        grad_u += weights.kl_weight * g
+
+    total = (weights.lambda_l * val_l + weights.lambda_u * val_u
+             + weights.lambda_n * val_n + weights.kl_weight * val_kl)
+    return LossBreakdown(total, val_l, val_u, val_n, val_kl), grad_l, grad_u
 
 
 def loss_opencon(
@@ -307,30 +344,10 @@ def loss_opencon(
     Returns:
         (breakdown, gradient wrt z_l, gradient wrt z_u).
     """
-    z_l = as_f64(z_l)
-    z_u = as_f64(z_u)
-    grad_l = np.zeros_like(z_l)
-    grad_u = np.zeros_like(z_u)
-    val_l = val_u = val_n = val_kl = 0.0
-
-    if not drop_l and len(z_l):
-        val_l, g, _ = loss_supcon(z_l, labels_l, weights.tau_l)
-        grad_l += weights.lambda_l * g
-    if not drop_u and len(z_u):
-        val_u, g, _ = loss_simclr(z_u, sample_ids_u, weights.tau_u)
-        grad_u += weights.lambda_u * g
-    novel_rows = np.asarray(novel_rows, dtype=np.int64)
-    if not drop_n and novel_rows.size:
-        val_n, g_n, _ = loss_novel(z_u[novel_rows], pseudo_novel, weights.tau_n)
-        np.add.at(grad_u, novel_rows, weights.lambda_n * g_n)
-    if weights.kl_weight > 0 and len(z_u):
-        p = prior if prior is not None else _uniform_prior(prototypes.shape[0])
-        val_kl, g = kl_regularizer(z_u, prototypes, weights.tau_n, p)
-        grad_u += weights.kl_weight * g
-
-    total = (weights.lambda_l * val_l + weights.lambda_u * val_u
-             + weights.lambda_n * val_n + weights.kl_weight * val_kl)
-    return LossBreakdown(total, val_l, val_u, val_n, val_kl), grad_l, grad_u
+    no_rows = np.zeros(0, np.int64)
+    return _composite(z_l, labels_l, z_u, sample_ids_u, novel_rows, pseudo_novel,
+                      prototypes, weights, prior, drop_l, drop_u, drop_n,
+                      no_rows, no_rows)
 
 
 def loss_modified(
@@ -344,6 +361,9 @@ def loss_modified(
     prototypes: np.ndarray,
     weights: LossWeights,
     prior: np.ndarray | None = None,
+    drop_l: bool = False,
+    drop_u: bool = False,
+    drop_n: bool = False,
 ) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Variant that widens the supervised term to the rejected unlabeled views.
 
@@ -355,34 +375,11 @@ def loss_modified(
     Args:
         pseudo_u: predicted class (over all prototypes) for every unlabeled
             view; only the rejected rows are consulted.
+        drop_*: as in :func:`loss_opencon`; `drop_l` drops the whole widened
+            supervised term.
     """
-    z_l = as_f64(z_l)
-    z_u = as_f64(z_u)
     novel_rows = np.asarray(novel_rows, dtype=np.int64)
     rejected = np.setdiff1d(np.arange(len(z_u)), novel_rows)
-    grad_l = np.zeros_like(z_l)
-    grad_u = np.zeros_like(z_u)
-
-    z_k = np.concatenate([z_l, z_u[rejected]]) if len(z_u) else z_l
-    y_k = np.concatenate([np.asarray(labels_l, np.int64),
-                          np.asarray(pseudo_u, np.int64)[rejected]])
-    val_k, g_k, _ = loss_supcon(z_k, y_k, weights.tau_l)
-    grad_l += weights.lambda_l * g_k[:len(z_l)]
-    if rejected.size:
-        np.add.at(grad_u, rejected, weights.lambda_l * g_k[len(z_l):])
-
-    val_u = val_n = val_kl = 0.0
-    if len(z_u):
-        val_u, g, _ = loss_simclr(z_u, sample_ids_u, weights.tau_u)
-        grad_u += weights.lambda_u * g
-    if novel_rows.size:
-        val_n, g_n, _ = loss_novel(z_u[novel_rows], pseudo_novel, weights.tau_n)
-        np.add.at(grad_u, novel_rows, weights.lambda_n * g_n)
-    if weights.kl_weight > 0 and len(z_u):
-        p = prior if prior is not None else _uniform_prior(prototypes.shape[0])
-        val_kl, g = kl_regularizer(z_u, prototypes, weights.tau_n, p)
-        grad_u += weights.kl_weight * g
-
-    total = (weights.lambda_l * val_k + weights.lambda_u * val_u
-             + weights.lambda_n * val_n + weights.kl_weight * val_kl)
-    return LossBreakdown(total, val_k, val_u, val_n, val_kl), grad_l, grad_u
+    return _composite(z_l, labels_l, z_u, sample_ids_u, novel_rows, pseudo_novel,
+                      prototypes, weights, prior, drop_l, drop_u, drop_n,
+                      rejected, np.asarray(pseudo_u, np.int64)[rejected])

@@ -13,8 +13,10 @@ from opencon.core import (
     Rng,
     as_f64,
     l2_normalize,
+    log_sum_exp,
     percentile_threshold,
     sample_uniform_sphere,
+    softmax,
     stable_sum,
 )
 
@@ -223,14 +225,9 @@ def ood_scores(z: np.ndarray, store: PrototypeStore, variant: str = "max_cosine"
     if variant == "max_cosine":
         out = np.max(logits, axis=1)
     elif variant == "msp":
-        shifted = logits / tau
-        shifted -= shifted.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        out = np.max(e / e.sum(axis=1, keepdims=True), axis=1)
+        out = np.max(softmax(logits, tau), axis=1)
     elif variant == "energy":
-        shifted = logits / tau
-        m = shifted.max(axis=1, keepdims=True)
-        out = tau * (m[:, 0] + np.log(np.sum(np.exp(shifted - m), axis=1)))
+        out = tau * log_sum_exp(logits / tau, axis=1)
     else:
         raise UnknownVariant(f"variant {variant!r} not in {SCORE_VARIANTS}")
     return out[0] if single else out

@@ -26,7 +26,7 @@ from opencon.encoder import (
     backward,
     forward,
 )
-from opencon.evaluation import AccuracyTriple, accuracy_triple
+from opencon.evaluation import AccuracyTriple, accuracy_triple, converged_cluster_count
 from opencon.objective import LossWeights, loss_modified, loss_opencon
 from opencon.prototype import (
     DetectionMetrics,
@@ -126,6 +126,16 @@ class TrainConfig:
         return out
 
 
+def json_clean(value):
+    """`value` with every non-finite float, at any depth of nested dicts,
+    replaced by None, so it serializes as strict JSON."""
+    if isinstance(value, dict):
+        return {k: json_clean(v) for k, v in value.items()}
+    if isinstance(value, float) and not np.isfinite(value):
+        return None
+    return value
+
+
 @dataclass
 class EpochReport:
     epoch: int
@@ -142,14 +152,7 @@ class EpochReport:
     active_prototypes: int
 
     def as_dict(self) -> dict:
-        def clean(v):
-            if v is None:
-                return None
-            if isinstance(v, float) and not np.isfinite(v):
-                return None
-            return v
-
-        return {k: clean(v) for k, v in dataclasses.asdict(self).items()}
+        return json_clean(dataclasses.asdict(self))
 
 
 @dataclass
@@ -252,9 +255,15 @@ def train(
         optimizer = Optimizer(_opt_config(config), mlp)
         first_epoch = 0
 
+    def snapshot(next_epoch: int) -> TrainState:
+        return TrainState(mlp, optimizer.velocity, store, next_epoch, config.epochs,
+                          {name: getattr(rngs, name).state_words()
+                           for name in _RNG_STREAMS_SAVED})
+
     sampler = BatchSampler(split, config.b_l, config.b_u, rngs.data, rngs.augment,
                            AugmentConfig(config.aug_sigma, config.aug_p_mask))
     weights = config.weights
+    drops = {"drop_l": config.drop_l, "drop_u": config.drop_u, "drop_n": config.drop_n}
     labeled_y = split.labeled_labels()
     reports: list[EpochReport] = []
     loss_history: list[float] = []
@@ -292,12 +301,11 @@ def train(
                             if has_u else np.zeros(0, np.int64))
                 breakdown, g_l, g_u = loss_modified(
                     z_l, batch_l.labels, z_u, batch_u.sample_ids, novel_rows,
-                    pseudo_novel, pseudo_u, store.matrix, weights)
+                    pseudo_novel, pseudo_u, store.matrix, weights, **drops)
             else:
                 breakdown, g_l, g_u = loss_opencon(
                     z_l, batch_l.labels, z_u, batch_u.sample_ids, novel_rows,
-                    pseudo_novel, store.matrix, weights,
-                    drop_l=config.drop_l, drop_u=config.drop_u, drop_n=config.drop_n)
+                    pseudo_novel, store.matrix, weights, **drops)
 
             if not np.isfinite(breakdown.total):
                 raise TrainingDiverged(
@@ -347,18 +355,14 @@ def train(
             acc_all=acc_all,
             acc_novel=acc_novel,
             acc_seen=acc_seen,
-            active_prototypes=int(np.sum(store.assignment_counts > 0)),
+            active_prototypes=converged_cluster_count(store),
         )
         reports.append(report)
         loss_history.append(report.loss_total)
 
         if checkpoint_path is not None and checkpoint_every:
             if (epoch + 1) % checkpoint_every == 0 and not is_last:
-                checkpoint_save(checkpoint_path, TrainState(
-                    mlp, optimizer.velocity, store, epoch + 1, config.epochs,
-                    {name: rng.state_words() for name, rng in rngs.named().items()
-                     if name != "theory"},
-                ))
+                checkpoint_save(checkpoint_path, snapshot(epoch + 1))
 
         if config.early_stop and len(loss_history) > config.early_stop_patience:
             prev = loss_history[-1 - config.early_stop_patience]
@@ -366,12 +370,7 @@ def train(
             if rel < config.early_stop_tol:
                 break
 
-    final_state = TrainState(
-        mlp, optimizer.velocity, store, config.epochs, config.epochs,
-        {name: rng.state_words() for name, rng in rngs.named().items()
-         if name != "theory"},
-    )
-    return TrainResult(mlp, store, reports, config, final_state)
+    return TrainResult(mlp, store, reports, config, snapshot(config.epochs))
 
 
 def _opt_config(config: TrainConfig) -> OptimizerConfig:
@@ -464,31 +463,21 @@ def checkpoint_load(path) -> TrainState:
         raise VersionMismatch(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     off = 4 + 32
 
-    def take(shape):
+    def take(shape, dtype="<f8"):
         nonlocal off
         count = int(np.prod(shape))
-        need = count * 8
+        need = count * np.dtype(dtype).itemsize
         if len(blob) < off + need:
             raise Corrupt(f"truncated block at offset {off}")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape).copy()
+        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=off).reshape(shape).copy()
         off += need
         return arr
 
     mlp = Mlp(take((h, m)), take((h,)), take((d, h)), take((d,)))
     velocity = Grads(take((h, m)), take((h,)), take((d, h)), take((d,)))
     matrix = take((k, d))
-
-    def take_i64(count):
-        nonlocal off
-        need = count * 8
-        if len(blob) < off + need:
-            raise Corrupt(f"truncated block at offset {off}")
-        arr = np.frombuffer(blob, dtype="<i8", count=count, offset=off).copy()
-        off += need
-        return arr
-
-    counts = take_i64(k)
-    known_ids = take_i64(n_known)
+    counts = take((k,), "<i8")
+    known_ids = take((n_known,), "<i8")
     novel_ids = np.setdiff1d(np.arange(k), known_ids)
     store = PrototypeStore(matrix, known_ids, novel_ids, counts)
     rng_words = {}

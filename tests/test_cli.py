@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opencon.cli import main
-from opencon.data import ingest_features
+from opencon.data import Dataset, ingest_features, write_features
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +103,24 @@ class TestTrain:
         assert rc == 0
         first = json.loads(metrics.read_text().splitlines()[0])
         assert first["loss_n"] == 0.0
+
+    def test_divergence_diagnostic_is_strict_json(self, data_file, tmp_path, capsys):
+        ds = ingest_features(data_file)
+        features = ds.features.copy()
+        features[0, 0] = np.nan
+        bad = tmp_path / "nan.ocft"
+        write_features(bad, Dataset(features, ds.labels, ds.ids))
+        rc = main(train_args(bad, ["--metrics", str(tmp_path / "m.jsonl"),
+                                   "--summary", str(tmp_path / "s.json")]))
+        assert rc == 1
+        err = capsys.readouterr().err
+        [line] = [ln for ln in err.splitlines() if ln.startswith("diagnostic: ")]
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        state = json.loads(line[len("diagnostic: "):], parse_constant=reject)
+        assert state["breakdown"]["total"] is None
 
     def test_missing_data_is_runtime_error(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope.ocft"),

@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opencon.core import Rng, VmfParams, l2_normalize, sample_uniform_sphere, sample_vmf
 from opencon.evaluation import (
     EmptyEvaluationSet,
+    _matched_accuracy,
     accuracy_triple,
     converged_cluster_count,
     estimate_class_number,
@@ -125,6 +128,82 @@ class TestAccuracyTriple:
         pinned = accuracy_triple(preds, truth, [0, 1], [2], 3, pin_known=True)
         assert free.all == 1.0
         assert pinned.all == 0.0
+
+
+def matched_accuracy_via_hungarian(pred, truth, n_pred_ids, classes, pin=None):
+    """Reference: the matched count read off hungarian's assignment."""
+    col_of = {int(c): j for j, c in enumerate(classes)}
+    counts = np.zeros((n_pred_ids, len(classes)))
+    for p, t in zip(pred, truth):
+        counts[p, col_of[t]] += 1
+    cost = -counts
+    if pin:
+        big = counts.sum() + 1.0
+        for row, col in pin.items():
+            cost[row] = big
+            cost[row, col] = -counts[row, col]
+    assign = hungarian(cost)
+    matched = sum(counts[r, assign[r]] for r in range(n_pred_ids) if assign[r] >= 0)
+    return float(matched) / len(pred)
+
+
+@st.composite
+def labelings(draw, classes, n_pred_ids):
+    """(predictions, truth) pairs of one length over the given id ranges."""
+    n = draw(st.integers(1, 40))
+    pred = draw(st.lists(st.integers(0, n_pred_ids - 1), min_size=n, max_size=n))
+    truth = draw(st.lists(st.sampled_from(list(classes)), min_size=n, max_size=n))
+    return np.array(pred), np.array(truth)
+
+
+@st.composite
+def free_problems(draw):
+    # prediction ids below, at and above the class count
+    ids = draw(st.lists(st.integers(0, 20), min_size=1, max_size=5, unique=True))
+    classes = np.sort(np.array(ids))
+    n_pred_ids = draw(st.integers(1, 8))
+    pred, truth = draw(labelings(classes, n_pred_ids))
+    return pred, truth, n_pred_ids, classes
+
+
+@st.composite
+def pinned_problems(draw):
+    # accuracy_triple(pin_known=True): known rows keep their aligned class
+    n_classes = draw(st.integers(1, 5))
+    classes = np.arange(n_classes)
+    n_pred_ids = draw(st.integers(n_classes, n_classes + 3))
+    n_known = draw(st.integers(0, n_classes))
+    pred, truth = draw(labelings(classes, n_pred_ids))
+    return pred, truth, n_pred_ids, classes, {c: c for c in range(n_known)}
+
+
+@st.composite
+def cluster_problems(draw):
+    # estimate_class_number: k cluster ids scored against the labeled classes
+    truth = np.array(draw(st.lists(st.integers(0, 6), min_size=1, max_size=40)))
+    k = draw(st.integers(1, 8))
+    pred = np.array(draw(st.lists(st.integers(0, k - 1), min_size=len(truth),
+                                  max_size=len(truth))))
+    return pred, truth, k, np.unique(truth)
+
+
+class TestMatchedAccuracy:
+    @settings(max_examples=300, deadline=None)
+    @given(free_problems())
+    def test_equals_hungarian_count(self, problem):
+        assert _matched_accuracy(*problem) == matched_accuracy_via_hungarian(*problem)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pinned_problems())
+    def test_equals_hungarian_count_pinned(self, problem):
+        pred, truth, n_pred_ids, classes, pin = problem
+        assert (_matched_accuracy(pred, truth, n_pred_ids, classes, pin=pin)
+                == matched_accuracy_via_hungarian(pred, truth, n_pred_ids, classes, pin))
+
+    @settings(max_examples=300, deadline=None)
+    @given(cluster_problems())
+    def test_equals_hungarian_count_cluster_shape(self, problem):
+        assert _matched_accuracy(*problem) == matched_accuracy_via_hungarian(*problem)
 
 
 class TestSphericalKmeans:

@@ -128,6 +128,11 @@ class TestTrainLoop:
         b = train(tiny_config(warm_start=False), split)
         assert not np.array_equal(a.store.matrix, b.store.matrix)
 
+    def test_modified_loss_honours_drop_flags(self):
+        result = train(tiny_config(use_modified_loss=True, drop_u=True), tiny_split())
+        assert all(r.loss_u == 0.0 for r in result.reports)
+        assert all(r.loss_l > 0.0 for r in result.reports)
+
     def test_report_json_clean(self):
         result = train(tiny_config(p=0.0), tiny_split())
         for r in result.reports:
