@@ -52,7 +52,6 @@ from opencon.prototype import (
     init_prototypes,
     ood_gate,
     ood_scores,
-    pseudo_label,
     pseudo_labels,
     update_prototypes,
 )

@@ -85,10 +85,11 @@ def _matched_accuracy(pred: np.ndarray, truth: np.ndarray, n_pred_ids: int,
                       classes: np.ndarray, pin: dict[int, int] | None = None) -> float:
     """Accuracy after the match-count-maximizing injective map from predicted
     ids to the given class columns."""
-    col_of = {int(c): j for j, c in enumerate(classes)}
+    hit = np.asarray(truth)[:, None] == np.asarray(classes)[None, :]
+    if not hit.any(axis=1).all():
+        raise ValueError("truth labels outside the given classes")
     counts = np.zeros((n_pred_ids, len(classes)))
-    for p, t in zip(pred, truth):
-        counts[int(p), col_of[int(t)]] += 1
+    np.add.at(counts, (np.asarray(pred, np.int64), hit.argmax(axis=1)), 1.0)
     cost = -counts
     if pin:
         big = counts.sum() + 1.0

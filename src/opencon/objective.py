@@ -196,8 +196,6 @@ def _masked_contrastive(z: np.ndarray, pos_mask: np.ndarray,
         raise InvalidTemperature(f"tau must be > 0, got {tau}")
     z = as_f64(z)
     n = len(z)
-    if n == 0:
-        return 0.0, np.zeros_like(z), 0
     pos_mask = pos_mask & ~np.eye(n, dtype=bool)
     neg_mask = ~np.eye(n, dtype=bool)
     contrib = pos_mask.any(axis=1)
@@ -290,22 +288,20 @@ def _composite(z_l, labels_l, z_u, sample_ids_u, novel_rows, pseudo_novel,
     grad_u = np.zeros_like(z_u)
     val_l = val_u = val_n = val_kl = 0.0
 
-    if not drop_l and len(z_l) + extra_rows.size:
-        z_k, y_k = z_l, labels_l
-        if extra_rows.size:
-            z_k = np.concatenate([z_l, z_u[extra_rows]])
-            y_k = np.concatenate([np.asarray(labels_l, np.int64), extra_labels])
+    if not drop_l:
+        z_k = np.concatenate([z_l, z_u[extra_rows]])
+        y_k = np.concatenate([np.asarray(labels_l, np.int64), extra_labels])
         val_l, g, _ = loss_supcon(z_k, y_k, weights.tau_l)
         grad_l += weights.lambda_l * g[:len(z_l)]
         np.add.at(grad_u, extra_rows, weights.lambda_l * g[len(z_l):])
-    if not drop_u and len(z_u):
+    if not drop_u:
         val_u, g, _ = loss_simclr(z_u, sample_ids_u, weights.tau_u)
         grad_u += weights.lambda_u * g
     novel_rows = np.asarray(novel_rows, dtype=np.int64)
-    if not drop_n and novel_rows.size:
+    if not drop_n:
         val_n, g_n, _ = loss_novel(z_u[novel_rows], pseudo_novel, weights.tau_n)
         np.add.at(grad_u, novel_rows, weights.lambda_n * g_n)
-    if weights.kl_weight > 0 and len(z_u):
+    if weights.kl_weight > 0:
         p = prior if prior is not None else _uniform_prior(prototypes.shape[0])
         val_kl, g = kl_regularizer(z_u, prototypes, weights.tau_n, p)
         grad_u += weights.kl_weight * g

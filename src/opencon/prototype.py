@@ -9,6 +9,7 @@ import numpy as np
 
 from opencon.core import (
     EmptyScores,
+    InvalidTemperature,
     OpenConError,
     Rng,
     as_f64,
@@ -24,9 +25,6 @@ from opencon.core import (
 class UnknownVariant(OpenConError):
     """Requested detection score variant does not exist."""
 
-
-RESTRICT_ALL = "all"
-RESTRICT_NOVEL = "novel_only"
 
 SCORE_VARIANTS = ("max_cosine", "msp", "energy")
 
@@ -93,28 +91,10 @@ def init_prototypes(n_classes: int, d: int, rng: Rng, n_known: int = 0) -> Proto
     return PrototypeStore(matrix, np.arange(n_known), np.arange(n_known, n_classes))
 
 
-def _rows_for(store: PrototypeStore, restrict: str) -> np.ndarray:
-    if restrict == RESTRICT_ALL:
-        return np.arange(store.n_classes)
-    if restrict == RESTRICT_NOVEL:
-        return store.novel_ids
-    raise ValueError(f"restrict must be 'all' or 'novel_only', got {restrict!r}")
-
-
-def pseudo_labels(z: np.ndarray, store: PrototypeStore,
-                  restrict: str = RESTRICT_ALL) -> np.ndarray:
-    """Predicted class per row of `z`: argmax cosine over the selected
-    prototype rows, ties broken toward the lowest class id."""
-    rows = _rows_for(store, restrict)
-    if rows.size == 0:
-        raise OpenConError("no prototype rows to predict against")
-    sims = as_f64(z) @ store.matrix[rows].T
-    return rows[np.argmax(sims, axis=1)]
-
-
-def pseudo_label(z: np.ndarray, store: PrototypeStore,
-                 restrict: str = RESTRICT_ALL) -> int:
-    return int(pseudo_labels(as_f64(z)[None, :], store, restrict)[0])
+def pseudo_labels(z: np.ndarray, store: PrototypeStore) -> np.ndarray:
+    """Predicted class per row of `z`: argmax cosine over all prototype rows,
+    ties broken toward the lowest class id."""
+    return np.argmax(as_f64(z) @ store.matrix.T, axis=1)
 
 
 def known_max_scores(z: np.ndarray, store: PrototypeStore) -> np.ndarray:
@@ -144,10 +124,6 @@ def calibrate_threshold(labeled_z: np.ndarray, store: PrototypeStore,
 def ood_gate(z_u: np.ndarray, store: PrototypeStore, threshold: float) -> GateResult:
     """Mark unlabeled views as novel when their best known-prototype cosine
     falls strictly below the threshold."""
-    z_u = as_f64(z_u)
-    if z_u.shape[0] == 0:
-        empty = np.zeros(0, np.int64)
-        return GateResult(empty, empty.copy(), threshold)
     scores = known_max_scores(z_u, store)
     novel = scores < threshold
     return GateResult(
@@ -155,11 +131,6 @@ def ood_gate(z_u: np.ndarray, store: PrototypeStore, threshold: float) -> GateRe
         np.flatnonzero(~novel).astype(np.int64),
         float(threshold),
     )
-
-
-def _ema_update(store: PrototypeStore, c: int, z: np.ndarray, gamma: float) -> None:
-    store.matrix[c] = l2_normalize(gamma * store.matrix[c] + (1.0 - gamma) * z)
-    store.assignment_counts[c] += 1
 
 
 def update_prototypes(
@@ -175,17 +146,25 @@ def update_prototypes(
     best-matching novel row, re-evaluated against the store as it evolves.
     Streaming order is labeled views first, then novel views, each in
     ascending view index; the update is order-sensitive by construction.
+
+    Raises:
+        OpenConError: if there are gated novel views but no novel rows.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     labeled_z = as_f64(labeled_z)
-    labeled_y = np.asarray(labeled_y, np.int64)
-    for i in range(labeled_z.shape[0]):
-        _ema_update(store, int(labeled_y[i]), labeled_z[i], gamma)
     novel_z = as_f64(novel_z)
-    for i in range(novel_z.shape[0]):
-        c = pseudo_label(novel_z[i], store, RESTRICT_NOVEL)
-        _ema_update(store, c, novel_z[i], gamma)
+    novel_ids = store.novel_ids
+    if novel_z.shape[0] and novel_ids.size == 0:
+        raise OpenConError("gated novel views need at least one novel prototype row")
+    matrix = store.matrix
+    steps = [*zip(np.asarray(labeled_y, np.int64), labeled_z, strict=True),
+             *((None, z) for z in novel_z)]
+    for c, z in steps:
+        if c is None:  # gated novel view: its row is the closest novel row now
+            c = novel_ids[np.argmax(z[None, :] @ matrix[novel_ids].T)]
+        matrix[c] = l2_normalize(gamma * matrix[c] + (1.0 - gamma) * z)
+        store.assignment_counts[c] += 1
     return store
 
 
@@ -215,8 +194,11 @@ def ood_scores(z: np.ndarray, store: PrototypeStore, variant: str = "max_cosine"
     logits at temperature tau; energy: tau * logsumexp of the known logits.
 
     Raises:
+        InvalidTemperature: if tau <= 0, for every variant.
         UnknownVariant: for variants other than max_cosine | msp | energy.
     """
+    if tau <= 0:
+        raise InvalidTemperature(f"tau must be > 0, got {tau}")
     z2 = as_f64(z)
     single = z2.ndim == 1
     if single:
@@ -254,18 +236,12 @@ def detection_metrics(id_scores: np.ndarray, ood_scores_: np.ndarray) -> Detecti
         raise EmptyScores("detection metrics need both ID and OOD scores")
     combined = np.concatenate([id_scores, ood])
     order = np.argsort(combined, kind="stable")
-    ranks = np.empty(combined.size)
-    ranks[order] = np.arange(1, combined.size + 1)
-    # midranks for ties
     sorted_vals = combined[order]
-    i = 0
-    while i < combined.size:
-        j = i
-        while j + 1 < combined.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # each run of tied scores shares the mean of the ranks it spans
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], combined.size] - 1
+    ranks = np.empty(combined.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     n_id, n_ood = id_scores.size, ood.size
     u = stable_sum(ranks[:n_id]) - n_id * (n_id + 1) / 2.0
     auroc = u / (n_id * n_ood)

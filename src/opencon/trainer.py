@@ -282,23 +282,16 @@ def train(
 
         for iteration, (batch_l, batch_u) in enumerate(sampler.epoch()):
             z_l, tape_l = forward(mlp, batch_l.inputs)
-            has_u = batch_u.n_views > 0
-            if has_u:
-                z_u, tape_u = forward(mlp, batch_u.inputs)
-            else:
-                z_u = np.zeros((0, d))
-                tape_u = None
+            z_u, tape_u = forward(mlp, batch_u.inputs)
 
             lam = lam_epoch if lam_epoch is not None else calibrate_threshold(
                 z_l, store, config.p)
             gate = ood_gate(z_u, store, lam)
             novel_rows = gate.novel_view_ids
-            pseudo_novel = (pseudo_labels(z_u[novel_rows], store)
-                            if novel_rows.size else np.zeros(0, np.int64))
+            pseudo_novel = pseudo_labels(z_u[novel_rows], store)
 
             if config.use_modified_loss:
-                pseudo_u = (pseudo_labels(z_u, store)
-                            if has_u else np.zeros(0, np.int64))
+                pseudo_u = pseudo_labels(z_u, store)
                 breakdown, g_l, g_u = loss_modified(
                     z_l, batch_l.labels, z_u, batch_u.sample_ids, novel_rows,
                     pseudo_novel, pseudo_u, store.matrix, weights, **drops)
@@ -316,8 +309,7 @@ def train(
                 )
 
             grads = backward(mlp, tape_l, g_l)
-            if has_u:
-                grads.add_(backward(mlp, tape_u, g_u))
+            grads.add_(backward(mlp, tape_u, g_u))
             optimizer.step(mlp, grads, epoch)
             update_prototypes(store, z_l, batch_l.labels, z_u[novel_rows],
                               config.gamma)

@@ -96,6 +96,22 @@ class TestTrain:
         payload = json.loads(out.read_text())
         assert 0.0 <= payload["accuracy"]["all"] <= 1.0
 
+    def test_eval_rejects_nonpositive_tau(self, data_file, tmp_path, capsys):
+        ckpt = tmp_path / "run.ockp"
+        rc = main(train_args(data_file, ["--checkpoint-out", str(ckpt),
+                                         "--metrics", str(tmp_path / "m.jsonl"),
+                                         "--summary", str(tmp_path / "s.json")]))
+        assert rc == 0
+        capsys.readouterr()
+        out = tmp_path / "eval.json"
+        rc = main(["eval", "--data", str(data_file), "--checkpoint", str(ckpt),
+                   "--seed", "2", "--tau", "0", "--out", str(out), "--no-timestamps"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_drop_flag(self, data_file, tmp_path):
         metrics = tmp_path / "m.jsonl"
         rc = main(train_args(data_file, ["--drop-n", "--metrics", str(metrics),

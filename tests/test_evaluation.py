@@ -205,6 +205,17 @@ class TestMatchedAccuracy:
     def test_equals_hungarian_count_cluster_shape(self, problem):
         assert _matched_accuracy(*problem) == matched_accuracy_via_hungarian(*problem)
 
+    def test_truth_outside_classes_raises(self):
+        with pytest.raises(ValueError):
+            _matched_accuracy(np.array([0, 1]), np.array([0, 5]), 2, np.array([0, 1]))
+
+    def test_unsorted_classes(self):
+        pred = np.array([0, 0, 1, 2])
+        truth = np.array([7, 7, 3, 5])
+        classes = np.array([7, 3, 5])
+        assert _matched_accuracy(pred, truth, 3, classes, pin={0: 0}) == 1.0
+        assert _matched_accuracy(pred, truth, 3, classes, pin={0: 1}) == 0.25
+
 
 class TestSphericalKmeans:
     def separable(self, k=3, per=30, d=6, seed=2):

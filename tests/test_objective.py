@@ -362,6 +362,33 @@ class TestComposite:
         scattered[novel_rows] += w.lambda_n * g_n_only
         np.testing.assert_allclose(grad_u, scattered, atol=1e-12)
 
+    def test_no_unlabeled_views(self):
+        z_l, labels_l, _, _, _, _, protos = self._inputs()
+        w = LossWeights()
+        none = np.zeros(0, np.int64)
+        bd, grad_l, grad_u = loss_opencon(z_l, labels_l, np.zeros((0, 4)), none,
+                                          none, none, protos, w)
+        assert (bd.u, bd.n, bd.kl) == (0.0, 0.0, 0.0)
+        assert grad_u.shape == (0, 4)
+        supcon, g_sup, _ = loss_supcon(z_l, labels_l, w.tau_l)
+        assert bd.l == supcon
+        np.testing.assert_array_equal(grad_l, w.lambda_l * g_sup)
+
+    def test_no_gated_views(self):
+        z_l, labels_l, z_u, ids_u, _, _, protos = self._inputs()
+        w = LossWeights()
+        none = np.zeros(0, np.int64)
+        bd, grad_l, grad_u = loss_opencon(z_l, labels_l, z_u, ids_u, none, none,
+                                          protos, w)
+        assert bd.n == 0.0
+        # the novel term adds nothing: same as dropping it
+        bd_drop, grad_l_drop, grad_u_drop = loss_opencon(
+            z_l, labels_l, z_u, ids_u, none, none, protos, w, drop_n=True)
+        assert bd == bd_drop
+        np.testing.assert_array_equal(grad_l, grad_l_drop)
+        np.testing.assert_array_equal(grad_u, grad_u_drop)
+        assert grad_u.shape == z_u.shape
+
     def test_weights_validation(self):
         with pytest.raises(InvalidTemperature):
             LossWeights(tau_l=0.0)

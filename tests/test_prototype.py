@@ -1,9 +1,12 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opencon.core import EmptyScores, Rng, l2_normalize
+from opencon.core import EmptyScores, InvalidTemperature, OpenConError, Rng, l2_normalize
 from opencon.prototype import (
     DetectionMetrics,
     GateResult,
@@ -15,7 +18,6 @@ from opencon.prototype import (
     known_max_scores,
     ood_gate,
     ood_scores,
-    pseudo_label,
     pseudo_labels,
     update_prototypes,
     warm_start_known,
@@ -61,12 +63,12 @@ class TestInit:
 class TestPseudoLabel:
     def test_argmax(self):
         store = identity_store()
-        assert pseudo_label(unit_with_first_coord(0.8), store) == 0
+        assert pseudo_labels(unit_with_first_coord(0.8)[None, :], store)[0] == 0
 
     def test_scale_invariance(self):
         store = identity_store()
         z = unit_with_first_coord(0.8)
-        before = pseudo_label(z, store)
+        before = pseudo_labels(z[None, :], store)[0]
         scaled = PrototypeStore(store.matrix.copy(), store.known_ids,
                                 store.novel_ids)
         # argmax of similarities is unchanged by any positive rescaling of the
@@ -75,20 +77,29 @@ class TestPseudoLabel:
         assert np.argmax(sims) == np.argmax(5.0 * sims) == before
 
     def test_restricted_to_novel(self):
+        # a gated view closer to the known row still moves the novel row
         store = identity_store(n_known=1)
         z = unit_with_first_coord(0.8)
-        assert pseudo_label(z, store, "novel_only") == 1
+        update_prototypes(store, np.zeros((0, 2)), np.zeros(0, np.int64),
+                          z[None, :], gamma=0.9)
+        np.testing.assert_array_equal(store.matrix[0], E1)
+        assert not np.array_equal(store.matrix[1], E2)
+        assert store.assignment_counts.tolist() == [0, 1]
 
     def test_tie_breaks_low_id(self):
         matrix = np.stack([E1, E1, E2])
         store = PrototypeStore(matrix / np.linalg.norm(matrix, axis=1, keepdims=True),
                                np.array([0]), np.array([1, 2]))
-        assert pseudo_label(E1, store) == 0
+        assert pseudo_labels(E1[None, :], store)[0] == 0
 
     def test_batched(self):
         store = identity_store()
         z = np.stack([unit_with_first_coord(0.9), unit_with_first_coord(0.1)])
         np.testing.assert_array_equal(pseudo_labels(z, store), [0, 1])
+
+    def test_empty_batch(self):
+        out = pseudo_labels(np.zeros((0, 2)), identity_store())
+        assert out.dtype == np.int64 and out.shape == (0,)
 
 
 class TestCalibrate:
@@ -144,6 +155,12 @@ class TestGate:
                                              gate.rejected_view_ids]))
             np.testing.assert_array_equal(merged, np.arange(20))
 
+    def test_empty_batch(self):
+        gate = ood_gate(np.zeros((0, 2)), identity_store(), 0.5)
+        for ids in (gate.novel_view_ids, gate.rejected_view_ids):
+            assert ids.dtype == np.int64 and ids.shape == (0,)
+        assert gate.threshold == 0.5
+
     def test_monotone_in_p(self):
         rng = Rng(6, "data")
         store = init_prototypes(4, 4, Rng(7, "init"), n_known=2)
@@ -156,7 +173,65 @@ class TestGate:
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
 
+def per_view_update(store, labeled_z, labeled_y, novel_z, gamma):
+    """Reference for update_prototypes: one view at a time, a novel view's
+    row picked by pseudo_labels over the novel rows only."""
+    for z, c in zip(labeled_z, labeled_y):
+        store.matrix[c] = l2_normalize(gamma * store.matrix[c] + (1.0 - gamma) * z)
+        store.assignment_counts[c] += 1
+    rows = store.novel_ids
+    for z in novel_z:
+        if rows.size == 0:
+            raise OpenConError("no prototype rows to predict against")
+        c = rows[pseudo_labels(z[None, :], SimpleNamespace(matrix=store.matrix[rows]))[0]]
+        store.matrix[c] = l2_normalize(gamma * store.matrix[c] + (1.0 - gamma) * z)
+        store.assignment_counts[c] += 1
+    return store
+
+
+@st.composite
+def update_problems(draw):
+    d = draw(st.integers(1, 4))
+    n_classes = draw(st.integers(1, 6))
+    n_known = draw(st.integers(0, n_classes))
+    n_l = draw(st.integers(0, 8))
+    n_u = draw(st.integers(0, 8))
+    gamma = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # small integer lattice: exact ties, repeated rows and antipodal pairs
+        def units(n):
+            v = rng.integers(-1, 2, size=(n, d)).astype(float)
+            v[~v.any(axis=1), 0] = 1.0
+            return v / np.linalg.norm(v, axis=1, keepdims=True)
+    else:
+        def units(n):
+            return l2_normalize(rng.normal(size=(n, d))) if n else np.zeros((0, d))
+    store = PrototypeStore(units(n_classes), np.arange(n_known),
+                           np.arange(n_known, n_classes))
+    # any row, so that a label on a novel row pins the labeled-first order
+    labeled_y = rng.integers(0, n_classes, size=n_l)
+    return store, units(n_l), labeled_y, units(n_u), gamma
+
+
 class TestUpdate:
+    @settings(max_examples=400, deadline=None)
+    @given(update_problems())
+    def test_equals_per_view_reference(self, problem):
+        store, labeled_z, labeled_y, novel_z, gamma = problem
+        expect = store.copy()
+        try:
+            per_view_update(expect, labeled_z, labeled_y, novel_z, gamma)
+        except OpenConError:
+            # a degenerate step or gated views without novel rows
+            with pytest.raises(OpenConError):
+                update_prototypes(store, labeled_z, labeled_y, novel_z, gamma)
+            return
+        update_prototypes(store, labeled_z, labeled_y, novel_z, gamma)
+        assert store.matrix.tobytes() == expect.matrix.tobytes()
+        np.testing.assert_array_equal(store.assignment_counts,
+                                      expect.assignment_counts)
+
     def test_hand_arithmetic(self):
         store = identity_store(n_known=1)
         update_prototypes(store, np.stack([E2]), np.array([0]),
@@ -245,6 +320,12 @@ class TestOodScores:
     def test_unknown_variant(self):
         with pytest.raises(UnknownVariant):
             ood_scores(E1, identity_store(), "mahalanobis")
+
+    @pytest.mark.parametrize("variant", ["max_cosine", "msp", "energy"])
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_nonpositive_tau_raises(self, variant, tau):
+        with pytest.raises(InvalidTemperature):
+            ood_scores(E1, identity_store(n_known=2), variant, tau=tau)
 
     def test_single_prototype_same_ranking(self):
         store = PrototypeStore(np.stack([E1, E2]), np.array([0]), np.array([1]))
