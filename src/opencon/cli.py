@@ -89,8 +89,6 @@ def build_train_config(args) -> TrainConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             settings[name] = flag
-    if getattr(args, "seed", None) is not None:
-        settings["seed"] = args.seed
     return TrainConfig(**settings)
 
 
@@ -277,7 +275,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
         if name in ("seed", "milestones"):
             continue
         flag = "--" + name.replace("_", "-")
-        if f.type == "bool" or isinstance(f.default, bool):
+        if isinstance(f.default, bool):
             p.add_argument(flag, dest=name, action="store_true", default=None)
             p.add_argument("--no-" + name.replace("_", "-"), dest=name,
                            action="store_false", default=None)
@@ -363,15 +361,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OpenConError as exc:
+    except (OpenConError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         state = getattr(exc, "state", None)
         if state is not None:
             diagnostic = json.dumps(json_clean(state), sort_keys=True, allow_nan=False)
             print(f"diagnostic: {diagnostic}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

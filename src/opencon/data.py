@@ -7,7 +7,7 @@ A dataset is immutable after construction. The only mutable cursor lives in
 
 from __future__ import annotations
 
-import struct
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,7 +331,6 @@ class BatchSampler:
         split = self.split
         perm_l = self.rng_data.permutation(split.n_labeled)
         perm_u = self.rng_data.permutation(split.n_unlabeled)
-        m = split.features.shape[1]
         for it in range(self.iterations_per_epoch):
             lsel = perm_l[(it * self.b_l + np.arange(self.b_l)) % split.n_labeled]
             rows_l = split.labeled_idx[lsel]
@@ -339,19 +338,13 @@ class BatchSampler:
                 split.features[rows_l], split.ids[rows_l], split.labels[rows_l],
                 self.rng_augment, self.cfg,
             )
-            if self.b_u > 0:
-                usel = perm_u[it * self.b_u:(it + 1) * self.b_u]
-                rows_u = split.unlabeled_idx[usel]
-                batch_u = _two_views(
-                    split.features[rows_u], split.ids[rows_u],
-                    np.full(len(rows_u), UNLABELED, np.int64),
-                    self.rng_augment, self.cfg,
-                )
-            else:
-                batch_u = MultiViewBatch(
-                    np.zeros(0, np.int64), np.zeros(0, np.int64),
-                    np.zeros((0, m)), np.zeros(0, np.int64),
-                )
+            usel = perm_u[it * self.b_u:(it + 1) * self.b_u]
+            rows_u = split.unlabeled_idx[usel]
+            batch_u = _two_views(
+                split.features[rows_u], split.ids[rows_u],
+                np.full(len(rows_u), UNLABELED, np.int64),
+                self.rng_augment, self.cfg,
+            )
             yield batch_l, batch_u
 
 
@@ -359,8 +352,8 @@ class BatchSampler:
 # Feature file formats
 #
 # CSV: header `id,label,f0,...,f{m-1}`; label -1 = unlabeled; UTF-8, LF.
-# Binary: magic OCFT, u32 version=1, u32 n, u32 m, u8 has_labels,
-#         n*m little-endian f32 row-major, then (if has_labels) n i32 labels.
+# Binary: magic OCFT, then the blocks (3,) <u4 [version=1, n, m],
+#         () u1 has_labels, (n, m) <f4 row-major, and (if has_labels) (n,) <i4.
 # ---------------------------------------------------------------------------
 
 def write_features(path, dataset: Dataset, fmt: str = "binary") -> None:
@@ -429,35 +422,60 @@ def _read_csv(path) -> Dataset:
 
 def _write_binary(path, dataset: Dataset) -> None:
     has_labels = int(np.any(dataset.labels != UNLABELED)) if dataset.n else 1
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<IIIB", FEATURE_VERSION, dataset.n, dataset.dim, has_labels))
-        fh.write(dataset.features.astype("<f4").tobytes(order="C"))
-        if has_labels:
-            fh.write(dataset.labels.astype("<i4").tobytes())
+    blocks = [np.array([FEATURE_VERSION, dataset.n, dataset.dim], "<u4"),
+              np.array(has_labels, "u1"),
+              dataset.features.astype("<f4")]
+    if has_labels:
+        blocks.append(dataset.labels.astype("<i4"))
+    write_blocks(path, FEATURE_MAGIC, blocks)
 
 
 def _read_binary(path) -> Dataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != FEATURE_MAGIC:
-        raise ParseError("bad magic, not a feature file", offset=0)
-    try:
-        version, n, m, has_labels = struct.unpack_from("<IIIB", blob, 4)
-    except struct.error as exc:
-        raise ParseError(f"truncated header: {exc}", offset=4) from exc
+    reader = BlockReader(path, FEATURE_MAGIC, ParseError)
+    version, n, m = (int(v) for v in reader.take((3,), "<u4"))
+    has_labels = int(reader.take((), "u1"))
     if version != FEATURE_VERSION:
         raise ParseError(f"unsupported version {version}", offset=4)
-    off = 4 + 13
-    need = n * m * 4
-    if len(blob) < off + need:
-        raise ParseError("truncated feature block", offset=off)
-    feats = np.frombuffer(blob, dtype="<f4", count=n * m, offset=off).reshape(n, m)
-    off += need
-    if has_labels:
-        if len(blob) < off + n * 4:
-            raise ParseError("truncated label block", offset=off)
-        labels = np.frombuffer(blob, dtype="<i4", count=n, offset=off).astype(np.int64)
-    else:
-        labels = np.full(n, UNLABELED, np.int64)
-    return Dataset(feats.astype(np.float64), labels, np.arange(n))
+    feats = reader.take((n, m), "<f4")
+    labels = reader.take((n,), "<i4") if has_labels else np.full(n, UNLABELED)
+    reader.done()
+    return Dataset(feats, labels, np.arange(n))
+
+
+# Binary block codec shared by feature files and checkpoints: a magic, then
+# fixed-dtype arrays back to back with no padding (header fields included).
+
+def write_blocks(path, magic: bytes, blocks) -> None:
+    """Write `magic`, then the C-order bytes of each array in `blocks`."""
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        for block in blocks:
+            fh.write(block.tobytes(order="C"))
+
+
+class BlockReader:
+    """Reads back a :func:`write_blocks` file one block at a time; a bad
+    magic, a truncated block or trailing bytes raise `error`."""
+
+    def __init__(self, path, magic: bytes, error: type[Exception]):
+        with open(path, "rb") as fh:
+            self._blob = fh.read()
+        self._error = error
+        if self._blob[:len(magic)] != magic:
+            raise error(f"bad magic {self._blob[:len(magic)]!r}, expected {magic!r}")
+        self._off = len(magic)
+
+    def take(self, shape: tuple[int, ...], dtype: str) -> np.ndarray:
+        """The next block, copied so that it is aligned and writable."""
+        count = math.prod(shape)
+        need = count * np.dtype(dtype).itemsize
+        if len(self._blob) < self._off + need:
+            raise self._error(f"truncated block at offset {self._off}")
+        arr = np.frombuffer(self._blob, dtype, count, self._off).reshape(shape).copy()
+        self._off += need
+        return arr
+
+    def done(self) -> None:
+        """Call after the last block: the file must end exactly there."""
+        if self._off != len(self._blob):
+            raise self._error(f"trailing bytes at offset {self._off}")

@@ -10,13 +10,18 @@ update. Everything is deterministic given the seed.
 from __future__ import annotations
 
 import dataclasses
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from opencon.core import OpenConError, RngBundle, as_f64
-from opencon.data import AugmentConfig, BatchSampler, SplitDataset
+from opencon.data import (
+    AugmentConfig,
+    BatchSampler,
+    BlockReader,
+    SplitDataset,
+    write_blocks,
+)
 from opencon.encoder import (
     Grads,
     Mlp,
@@ -230,6 +235,9 @@ def train(
     n_protos = config.n_prototypes or len(split.all_classes)
     if n_protos < n_known:
         raise ValueError(f"n_prototypes={n_protos} < known classes {n_known}")
+    if n_protos == n_known and config.b_u > 0:
+        raise ValueError(f"n_prototypes={n_protos} leaves no novel prototype for "
+                         f"gated unlabeled views; use more than {n_known} or b_u=0")
 
     rngs = RngBundle(config.seed)
     if start_state is not None:
@@ -411,74 +419,51 @@ def ablate(config: TrainConfig, split: SplitDataset,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: magic OCKP, version, dims, parameter/velocity/prototype blocks,
-# assignment counts, known ids, rng stream states.
+# Checkpoints: magic OCKP, then the blocks (8,) <u4 [version, m, h, d, k,
+# n_known, next_epoch, total_epochs], <f8 parameters, velocity and prototypes,
+# <i8 counts and known ids, and per rng stream (4,) <u8 [state, inc as low and
+# high halves], () u1 has_uint32, () <u4 uinteger.
 # ---------------------------------------------------------------------------
 
 _RNG_STREAMS_SAVED = ("data", "augment", "init")
+_U64 = (1 << 64) - 1
 
 
 def checkpoint_save(path, state: TrainState) -> None:
     mlp, store = state.mlp, state.store
     m, h, d = mlp.dims
-    k = store.n_classes
-    n_known = len(store.known_ids)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IIIIIIII", CHECKPOINT_VERSION, m, h, d, k,
-                             n_known, state.next_epoch, state.total_epochs))
-        for block in (mlp.w1, mlp.b1, mlp.w2, mlp.b2,
-                      state.velocity.w1, state.velocity.b1,
-                      state.velocity.w2, state.velocity.b2,
-                      store.matrix):
-            fh.write(as_f64(block).astype("<f8").tobytes(order="C"))
-        fh.write(store.assignment_counts.astype("<i8").tobytes())
-        fh.write(store.known_ids.astype("<i8").tobytes())
-        for name in _RNG_STREAMS_SAVED:
-            s, inc, has32, uint = state.rng_words[name]
-            fh.write(s.to_bytes(16, "little"))
-            fh.write(inc.to_bytes(16, "little"))
-            fh.write(struct.pack("<BI", has32, uint))
+    blocks = [np.array([CHECKPOINT_VERSION, m, h, d, store.n_classes,
+                        len(store.known_ids), state.next_epoch, state.total_epochs],
+                       "<u4")]
+    blocks += [as_f64(block).astype("<f8") for block in (
+        mlp.w1, mlp.b1, mlp.w2, mlp.b2, state.velocity.w1, state.velocity.b1,
+        state.velocity.w2, state.velocity.b2, store.matrix)]
+    blocks += [store.assignment_counts.astype("<i8"), store.known_ids.astype("<i8")]
+    for name in _RNG_STREAMS_SAVED:
+        s, inc, has32, uint = state.rng_words[name]
+        blocks += [np.array([s & _U64, s >> 64, inc & _U64, inc >> 64], "<u8"),
+                   np.array(has32, "u1"), np.array(uint, "<u4")]
+    write_blocks(path, CHECKPOINT_MAGIC, blocks)
 
 
 def checkpoint_load(path) -> TrainState:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise Corrupt("bad magic, not a checkpoint")
-    try:
-        version, m, h, d, k, n_known, next_epoch, total_epochs = struct.unpack_from(
-            "<IIIIIIII", blob, 4)
-    except struct.error as exc:
-        raise Corrupt(f"truncated header: {exc}") from exc
+    reader = BlockReader(path, CHECKPOINT_MAGIC, Corrupt)
+    version, m, h, d, k, n_known, next_epoch, total_epochs = (
+        int(v) for v in reader.take((8,), "<u4"))
     if version != CHECKPOINT_VERSION:
         raise VersionMismatch(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
-    off = 4 + 32
-
-    def take(shape, dtype="<f8"):
-        nonlocal off
-        count = int(np.prod(shape))
-        need = count * np.dtype(dtype).itemsize
-        if len(blob) < off + need:
-            raise Corrupt(f"truncated block at offset {off}")
-        arr = np.frombuffer(blob, dtype=dtype, count=count, offset=off).reshape(shape).copy()
-        off += need
-        return arr
-
-    mlp = Mlp(take((h, m)), take((h,)), take((d, h)), take((d,)))
-    velocity = Grads(take((h, m)), take((h,)), take((d, h)), take((d,)))
-    matrix = take((k, d))
-    counts = take((k,), "<i8")
-    known_ids = take((n_known,), "<i8")
+    shapes = ((h, m), (h,), (d, h), (d,))
+    mlp = Mlp(*(reader.take(shape, "<f8") for shape in shapes))
+    velocity = Grads(*(reader.take(shape, "<f8") for shape in shapes))
+    matrix = reader.take((k, d), "<f8")
+    counts = reader.take((k,), "<i8")
+    known_ids = reader.take((n_known,), "<i8")
     novel_ids = np.setdiff1d(np.arange(k), known_ids)
     store = PrototypeStore(matrix, known_ids, novel_ids, counts)
     rng_words = {}
     for name in _RNG_STREAMS_SAVED:
-        if len(blob) < off + 37:
-            raise Corrupt(f"truncated rng state at offset {off}")
-        s = int.from_bytes(blob[off:off + 16], "little")
-        inc = int.from_bytes(blob[off + 16:off + 32], "little")
-        has32, uint = struct.unpack_from("<BI", blob, off + 32)
-        rng_words[name] = (s, inc, int(has32), int(uint))
-        off += 37
+        s_lo, s_hi, inc_lo, inc_hi = (int(v) for v in reader.take((4,), "<u8"))
+        has32, uint = int(reader.take((), "u1")), int(reader.take((), "<u4"))
+        rng_words[name] = (s_lo | s_hi << 64, inc_lo | inc_hi << 64, has32, uint)
+    reader.done()
     return TrainState(mlp, velocity, store, next_epoch, total_epochs, rng_words)

@@ -161,6 +161,19 @@ class TestTrain:
                    "--no-timestamps"])
         assert rc == 1
 
+    @pytest.mark.parametrize("argv", [
+        lambda data, cfg: train_args(data, ["--p", "150"]),
+        lambda data, cfg: train_args(data, ["--lr", "-1"]),
+        lambda data, cfg: train_args(data, ["--config", str(cfg)]),
+        lambda data, cfg: ["estimate-k", "--data", str(data), "--range", "abc"],
+    ], ids=["p-out-of-range", "negative-lr", "config-not-an-int", "range-not-ints"])
+    def test_bad_value_is_runtime_error(self, argv, data_file, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("epochs = abc\n")
+        rc = main(argv(data_file, cfg))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestAblateCmd:
     def test_p_sweep_rows(self, data_file, tmp_path):

@@ -104,8 +104,10 @@ class TestTrainLoop:
         assert result.final.active_prototypes <= 9
 
     def test_prototype_count_must_cover_known(self):
-        with pytest.raises(ValueError):
-            train(tiny_config(n_prototypes=2), tiny_split())
+        # 3 known classes: 3 prototypes leave no novel row for gated views
+        for n_prototypes in (2, 3):
+            with pytest.raises(ValueError):
+                train(tiny_config(n_prototypes=n_prototypes), tiny_split())
 
     def test_nan_abort_with_diagnostics(self):
         split = tiny_split()
