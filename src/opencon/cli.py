@@ -20,6 +20,7 @@ from opencon.data import (
     generate_synthetic,
     ingest_features,
     make_split,
+    open_atomic,
     write_features,
 )
 from opencon.encoder import forward
@@ -98,7 +99,7 @@ def _emit_json(payload: dict, out_path, no_timestamps: bool) -> None:
         payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open_atomic(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

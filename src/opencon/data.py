@@ -7,7 +7,9 @@ A dataset is immutable after construction. The only mutable cursor lives in
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,7 +383,7 @@ def _write_csv(path, dataset: Dataset) -> None:
     m = dataset.dim
     header = "id,label," + ",".join(f"f{j}" for j in range(m))
     f32 = dataset.features.astype(np.float32)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_atomic(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for i in range(dataset.n):
             row = ",".join(np.format_float_positional(v, unique=True) for v in f32[i])
@@ -391,29 +393,32 @@ def _write_csv(path, dataset: Dataset) -> None:
 def _read_csv(path) -> Dataset:
     ids, labels, rows = [], [], []
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("id,label,"):
-            raise ParseError("missing `id,label,f0,...` header", line=1)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) < 3:
-                raise ParseError("row needs id, label and at least one feature", line=lineno)
-            try:
-                ids.append(int(parts[0]))
-                labels.append(int(parts[1]))
-                rows.append(np.array([np.float32(p) for p in parts[2:]], dtype=np.float32))
-            except ValueError as exc:
-                raise ParseError(f"bad value: {exc}", line=lineno) from exc
-            if dim is None:
-                dim = len(parts) - 2
-            elif len(parts) - 2 != dim:
-                raise DimensionMismatch(
-                    f"row at line {lineno} has {len(parts) - 2} features, expected {dim}"
-                )
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline()
+            if not header.startswith("id,label,"):
+                raise ParseError("missing `id,label,f0,...` header", line=1)
+            for lineno, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) < 3:
+                    raise ParseError("row needs id, label and at least one feature", line=lineno)
+                try:
+                    ids.append(int(parts[0]))
+                    labels.append(int(parts[1]))
+                    rows.append(np.array([np.float32(p) for p in parts[2:]], dtype=np.float32))
+                except ValueError as exc:
+                    raise ParseError(f"bad value: {exc}", line=lineno) from exc
+                if dim is None:
+                    dim = len(parts) - 2
+                elif len(parts) - 2 != dim:
+                    raise DimensionMismatch(
+                        f"row at line {lineno} has {len(parts) - 2} features, expected {dim}"
+                    )
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason}") from exc
     if dim is None:
         dim = 0
     feats = np.vstack(rows).astype(np.float64) if rows else np.zeros((0, dim))
@@ -442,12 +447,31 @@ def _read_binary(path) -> Dataset:
     return Dataset(feats, labels, np.arange(n))
 
 
+@contextlib.contextmanager
+def open_atomic(path, mode: str = "wb", **kwargs):
+    """Open a temporary sibling of `path` for writing and move it onto `path`
+    with `os.replace` when the block ends without an exception, so `path`
+    holds either its previous bytes or all of the new ones. On an exception
+    the temporary file is removed and `path` is left untouched. Nothing is
+    fsynced: this guards against a failed or killed process, not power loss."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 # Binary block codec shared by feature files and checkpoints: a magic, then
 # fixed-dtype arrays back to back with no padding (header fields included).
 
 def write_blocks(path, magic: bytes, blocks) -> None:
-    """Write `magic`, then the C-order bytes of each array in `blocks`."""
-    with open(path, "wb") as fh:
+    """Write `magic`, then the C-order bytes of each array in `blocks`,
+    atomically (see :func:`open_atomic`)."""
+    with open_atomic(path) as fh:
         fh.write(magic)
         for block in blocks:
             fh.write(block.tobytes(order="C"))

@@ -197,19 +197,21 @@ def _masked_contrastive(z: np.ndarray, pos_mask: np.ndarray,
     z = as_f64(z)
     n = len(z)
     pos_mask = pos_mask & ~np.eye(n, dtype=bool)
-    neg_mask = ~np.eye(n, dtype=bool)
-    contrib = pos_mask.any(axis=1)
+    n_pos = pos_mask.sum(axis=1)
+    contrib = n_pos > 0
     n_c = int(contrib.sum())
     if n_c == 0:
         return 0.0, np.zeros_like(z), 0
 
     s = (z @ z.T) / tau
-    s_neg = np.where(neg_mask, s, -np.inf)
+    # the anchor is no negative of itself; exp(-inf) is exactly 0 and every
+    # row keeps a finite maximum, since n >= 2 once an anchor has a positive
+    s_neg = s.copy()
+    np.fill_diagonal(s_neg, -np.inf)
     rowmax = np.max(s_neg, axis=1)
-    e = np.where(neg_mask, np.exp(s_neg - rowmax[:, None]), 0.0)
+    e = np.exp(s_neg - rowmax[:, None])
     denom = np.sum(np.sort(e, axis=1), axis=1)
     lse = rowmax + np.log(denom)
-    n_pos = pos_mask.sum(axis=1)
     pos_sum = np.sum(np.sort(np.where(pos_mask, s, 0.0), axis=1), axis=1)
     losses = lse - pos_sum / np.maximum(n_pos, 1)
     loss = stable_sum(losses[contrib]) / n_c

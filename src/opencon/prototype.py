@@ -144,27 +144,51 @@ def update_prototypes(
 
     Labeled views update their ground-truth row; gated novel views update the
     best-matching novel row, re-evaluated against the store as it evolves.
-    Streaming order is labeled views first, then novel views, each in
-    ascending view index; the update is order-sensitive by construction.
+    Labeled views go first, then novel views. The update is order-sensitive
+    per row: each row sees its views in ascending view index. Labeled views
+    of different classes touch different rows and commute, so step j moves
+    the row of every class that has a j-th labeled view at once.
 
     Raises:
+        ValueError: if gamma is outside [0, 1), or the labels do not match
+            the labeled views in number or do not index prototype rows.
         OpenConError: if there are gated novel views but no novel rows.
     """
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     labeled_z = as_f64(labeled_z)
+    labeled_y = np.asarray(labeled_y, np.int64)
     novel_z = as_f64(novel_z)
     novel_ids = store.novel_ids
+    if len(labeled_y) != len(labeled_z):
+        raise ValueError(f"{len(labeled_y)} labels for {len(labeled_z)} labeled views")
+    if np.any((labeled_y < 0) | (labeled_y >= store.n_classes)):
+        raise ValueError(f"labels must lie in [0, {store.n_classes})")
     if novel_z.shape[0] and novel_ids.size == 0:
         raise OpenConError("gated novel views need at least one novel prototype row")
     matrix = store.matrix
-    steps = [*zip(np.asarray(labeled_y, np.int64), labeled_z, strict=True),
-             *((None, z) for z in novel_z)]
-    for c, z in steps:
-        if c is None:  # gated novel view: its row is the closest novel row now
-            c = novel_ids[np.argmax(z[None, :] @ matrix[novel_ids].T)]
-        matrix[c] = l2_normalize(gamma * matrix[c] + (1.0 - gamma) * z)
-        store.assignment_counts[c] += 1
+
+    # rank of each view among its class's views; step j takes rank j of every
+    # class, in class order, so no row appears twice in one step
+    order = np.argsort(labeled_y, kind="stable")
+    sorted_y = labeled_y[order]
+    rank = np.arange(len(order)) - np.searchsorted(sorted_y, sorted_y)
+    by_step = order[np.argsort(rank, kind="stable")]
+    sizes = np.bincount(rank)
+    ends = np.cumsum(sizes)
+    for start, end in zip(ends - sizes, ends):
+        sel = by_step[start:end]
+        c = labeled_y[sel]
+        matrix[c] = l2_normalize(gamma * matrix[c] + (1.0 - gamma) * labeled_z[sel])
+
+    # a gated novel view's row is the closest novel row at its step
+    novel = matrix[novel_ids]
+    picks = np.empty(len(novel_z), np.int64)
+    for i, z in enumerate(novel_z):
+        k = picks[i] = np.argmax(z[None, :] @ novel.T)
+        novel[k] = l2_normalize(gamma * novel[k] + (1.0 - gamma) * z)
+    matrix[novel_ids] = novel
+    np.add.at(store.assignment_counts, np.concatenate([labeled_y, novel_ids[picks]]), 1)
     return store
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opencon.data import Dataset, ParseError, ingest_features, write_features
+from opencon.data import Dataset, ParseError, ingest_features, write_blocks, write_features
 from opencon.encoder import Grads, Mlp
 from opencon.prototype import PrototypeStore
 from opencon.trainer import Corrupt, TrainState, checkpoint_load, checkpoint_save
@@ -120,3 +120,20 @@ def test_damaged_files_raise_the_format_error(written, data):
     probe.write_bytes(damaged)
     with pytest.raises(error):
         load(probe)
+
+
+class FailingBlock:
+    """A block whose bytes cannot be produced, as on a failed write."""
+
+    def tobytes(self, order="C"):
+        raise OSError("no space left on device")
+
+
+def test_failed_write_leaves_previous_file(tmp_path):
+    path = tmp_path / "c.ockp"
+    checkpoint_save(path, tiny_state())
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="no space"):
+        write_blocks(path, b"OCKP", [np.arange(3), FailingBlock()])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.ockp"]

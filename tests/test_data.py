@@ -206,6 +206,14 @@ class TestFeatureFiles:
             ingest_features(path, fmt="csv")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("blob", [b"\xff\xfeid,label", b"id,label,f0\n0,1,\xe9\n"])
+    def test_csv_not_utf8_is_parse_error(self, tmp_path, blob):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(blob)
+        for fmt in ("auto", "csv"):
+            with pytest.raises(ParseError, match="not UTF-8"):
+                ingest_features(path, fmt=fmt)
+
     def test_binary_empty(self, tmp_path):
         path = tmp_path / "empty.ocft"
         ds = Dataset(np.zeros((0, 4)), np.zeros(0, np.int64), np.zeros(0, np.int64))

@@ -191,10 +191,12 @@ def per_view_update(store, labeled_z, labeled_y, novel_z, gamma):
 
 @st.composite
 def update_problems(draw):
-    d = draw(st.integers(1, 4))
+    # d > 8 runs NumPy's unrolled pairwise norm, as at S1's d = 32; up to 64
+    # labeled views over at most 6 classes make many views per class
+    d = draw(st.integers(1, 40))
     n_classes = draw(st.integers(1, 6))
     n_known = draw(st.integers(0, n_classes))
-    n_l = draw(st.integers(0, 8))
+    n_l = draw(st.integers(0, 64))
     n_u = draw(st.integers(0, 8))
     gamma = draw(st.sampled_from([0.0, 0.5, 0.9, 0.99]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -207,8 +209,10 @@ def update_problems(draw):
     else:
         def units(n):
             return l2_normalize(rng.normal(size=(n, d))) if n else np.zeros((0, d))
-    store = PrototypeStore(units(n_classes), np.arange(n_known),
-                           np.arange(n_known, n_classes))
+    # a shuffled partition, so the novel rows need not be contiguous
+    rows = rng.permutation(n_classes)
+    store = PrototypeStore(units(n_classes), np.sort(rows[:n_known]),
+                           np.sort(rows[n_known:]))
     # any row, so that a label on a novel row pins the labeled-first order
     labeled_y = rng.integers(0, n_classes, size=n_l)
     return store, units(n_l), labeled_y, units(n_u), gamma
@@ -296,6 +300,15 @@ class TestUpdate:
         with pytest.raises(ValueError):
             update_prototypes(identity_store(), np.zeros((0, 2)),
                               np.zeros(0), np.zeros((0, 2)), gamma=1.0)
+
+    @pytest.mark.parametrize("labels", [[0], [0, 1, 1], [0, -1], [0, 2]])
+    def test_bad_labels(self, labels):
+        store = identity_store()
+        before = store.matrix.copy()
+        with pytest.raises(ValueError, match="label"):
+            update_prototypes(store, np.stack([E1, E2]), np.array(labels),
+                              np.zeros((0, 2)), gamma=0.9)
+        np.testing.assert_array_equal(store.matrix, before)
 
     def test_warm_start(self):
         store = init_prototypes(3, 2, Rng(13, "init"), n_known=2)
