@@ -10,7 +10,6 @@ clustering interpretation.
 from opencon.core import (
     OpenConError,
     Rng,
-    RngBundle,
     VmfParams,
     l2_normalize,
     percentile_threshold,

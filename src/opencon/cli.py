@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from opencon.core import OpenConError, Rng
+from opencon.core import OpenConError, Rng, l2_normalize
 from opencon.data import (
     generate_synthetic,
     ingest_features,
@@ -49,20 +49,16 @@ _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 def _coerce(name: str, raw: str):
     if name not in _CONFIG_FIELDS:
         raise OpenConError(f"unknown config key {name!r}")
-    current = getattr(TrainConfig(), name)
-    if isinstance(current, bool):
+    default = _CONFIG_FIELDS[name].default
+    if isinstance(default, bool):
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise OpenConError(f"config key {name!r} expects a boolean, got {raw!r}")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    if isinstance(current, tuple):
+    if isinstance(default, tuple):
         return tuple(float(part) for part in raw.split(",") if part.strip())
-    return raw
+    return type(default)(raw)
 
 
 def load_config_file(path) -> dict:
@@ -122,14 +118,19 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _load_split(args):
+def _flag_seed(args) -> int:
+    return args.seed if args.seed is not None else 0
+
+
+def _load_split(args, seed: int):
+    """The split drawn with `seed`: the resolved `TrainConfig.seed` for the
+    commands that train, the --seed flag for the others."""
     dataset = ingest_features(args.data)
-    rng = Rng(args.seed if args.seed is not None else 0, "data")
-    return make_split(dataset, args.known_frac, args.label_ratio, rng)
+    return make_split(dataset, args.known_frac, args.label_ratio, Rng(seed, "data"))
 
 
 def cmd_gen_data(args) -> int:
-    rng = Rng(args.seed if args.seed is not None else 0, "data")
+    rng = Rng(_flag_seed(args), "data")
     dataset = generate_synthetic(args.classes, args.per_class, args.dim,
                                  args.kappa, rng,
                                  max_mean_cosine=args.max_mean_cosine)
@@ -141,7 +142,7 @@ def cmd_gen_data(args) -> int:
         "per_class": args.per_class,
         "dim": args.dim,
         "kappa": args.kappa,
-        "seed": args.seed if args.seed is not None else 0,
+        "seed": _flag_seed(args),
         "max_mean_cosine": args.max_mean_cosine,
         "n_samples": dataset.n,
         "path": str(args.out),
@@ -159,7 +160,7 @@ def _metrics_sink(path):
 
 def cmd_train(args) -> int:
     config = build_train_config(args)
-    split = _load_split(args)
+    split = _load_split(args, config.seed)
     start_state = checkpoint_load(args.resume) if args.resume else None
 
     sink = _metrics_sink(args.metrics)
@@ -179,7 +180,7 @@ def cmd_train(args) -> int:
     final = result.final
     detection = detection_report(result.mlp, result.store, split, config.tau_n)
     summary = {
-        "config": config.as_dict(),
+        "config": dataclasses.asdict(config),
         "epochs_run": len(result.reports),
         "accuracy": {"all": final.acc_all, "novel": final.acc_novel,
                      "seen": final.acc_seen},
@@ -196,7 +197,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    split = _load_split(args)
+    split = _load_split(args, _flag_seed(args))
     state = checkpoint_load(args.checkpoint)
     triple, _ = evaluate_model(state.mlp, state.store, split)
     detection = detection_report(state.mlp, state.store, split, args.tau)
@@ -212,7 +213,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = build_train_config(args)
-    split = _load_split(args)
+    split = _load_split(args, config.seed)
     if args.preset == "loss-components":
         variants = list(LOSS_COMPONENT_VARIANTS)
     elif args.preset == "p-sweep":
@@ -221,7 +222,7 @@ def cmd_ablate(args) -> int:
         variants = [("full", {}), ("modified", {"use_modified_loss": True})]
     rows = ablate(config, split, variants)
     payload = {"preset": args.preset, "rows": rows,
-               "config": config.as_dict()}
+               "config": dataclasses.asdict(config)}
     _emit_json(payload, args.out, args.no_timestamps)
     print(_table(rows, ["variant", "acc_all", "acc_novel", "acc_seen"]),
           file=sys.stderr)
@@ -229,7 +230,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_estimate_k(args) -> int:
-    split = _load_split(args)
+    split = _load_split(args, _flag_seed(args))
     lo, _, hi = args.range.partition(":")
     candidates = range(int(lo), int(hi) + 1)
     feats = np.concatenate([split.labeled_features(), split.unlabeled_features()])
@@ -240,9 +241,8 @@ def cmd_estimate_k(args) -> int:
         state = checkpoint_load(args.checkpoint)
         embeddings, _ = forward(state.mlp, feats)
     else:
-        from opencon.core import l2_normalize
         embeddings = l2_normalize(feats)
-    rng = Rng(args.seed if args.seed is not None else 0, "theory")
+    rng = Rng(_flag_seed(args), "theory")
     estimate = estimate_class_number(embeddings, labeled_mask, labels,
                                      candidates, rng)
     _emit_json({"estimate": estimate,
@@ -252,9 +252,7 @@ def cmd_estimate_k(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    summary = run_verification_suite(args.trials,
-                                     args.seed if args.seed is not None else 0,
-                                     perturb=args.perturb)
+    summary = run_verification_suite(args.trials, _flag_seed(args), perturb=args.perturb)
     _emit_json({"trials": summary.trials, "passed": summary.passed,
                 "failures": list(summary.failures)}, args.out, args.no_timestamps)
     for failure in summary.failures:
@@ -280,12 +278,8 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
             p.add_argument(flag, dest=name, action="store_true", default=None)
             p.add_argument("--no-" + name.replace("_", "-"), dest=name,
                            action="store_false", default=None)
-        elif isinstance(f.default, int):
-            p.add_argument(flag, dest=name, type=int, default=None)
-        elif isinstance(f.default, float):
-            p.add_argument(flag, dest=name, type=float, default=None)
-        elif isinstance(f.default, str):
-            p.add_argument(flag, dest=name, type=str, default=None)
+        else:
+            p.add_argument(flag, dest=name, type=type(f.default), default=None)
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,7 @@ generation) never perturbs another (say, augmentation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -235,21 +235,3 @@ def sample_vmf(params: VmfParams, n: int, rng: Rng) -> np.ndarray:
     t = g / norms
     samples = w[:, None] * mu[None, :] + np.sqrt(np.maximum(0.0, 1.0 - w * w))[:, None] * t
     return l2_normalize(samples)
-
-
-@dataclass
-class RngBundle:
-    """The full set of named streams a training run consumes."""
-
-    seed: int
-    data: Rng = field(init=False)
-    augment: Rng = field(init=False)
-    init: Rng = field(init=False)
-    theory: Rng = field(init=False)
-
-    def __post_init__(self):
-        for name in STREAMS:
-            setattr(self, name, Rng(self.seed, name))
-
-    def named(self) -> dict[str, Rng]:
-        return {name: getattr(self, name) for name in STREAMS}

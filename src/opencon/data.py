@@ -315,6 +315,8 @@ class BatchSampler:
             raise BatchTooLarge(f"b_u={b_u} > unlabeled pool {split.n_unlabeled}")
         if b_l <= 0:
             raise ValueError("b_l must be >= 1 (calibration needs labeled views)")
+        if b_u < 0:
+            raise ValueError("b_u must be >= 0")
         self.split = split
         self.b_l = b_l
         self.b_u = b_u

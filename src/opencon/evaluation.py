@@ -16,7 +16,16 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import ive
 
-from opencon.core import OpenConError, Rng, as_f64, l2_normalize, stable_sum
+from opencon.core import (
+    OpenConError,
+    Rng,
+    VmfParams,
+    as_f64,
+    l2_normalize,
+    sample_uniform_sphere,
+    sample_vmf,
+    stable_sum,
+)
 from opencon.prototype import PrototypeStore
 
 
@@ -279,8 +288,6 @@ def verify_optimal_prototypes(
     the plain summed-cosine objective rank random prototype configurations
     identically.
     """
-    from opencon.core import sample_uniform_sphere
-
     degenerate = []
     worst = np.inf
     dim = class_features[0].shape[1]
@@ -469,8 +476,6 @@ def verify_collision_bound(
 
 def make_prototype_instance(rng: Rng, n_classes: int = 5, dim: int = 8,
                             per_class: int = 50, kappa: float = 4.0):
-    from opencon.core import VmfParams, sample_uniform_sphere, sample_vmf
-
     means = sample_uniform_sphere(dim, n_classes, rng)
     return [sample_vmf(VmfParams(means[c], kappa), per_class, rng)
             for c in range(n_classes)]
@@ -478,8 +483,6 @@ def make_prototype_instance(rng: Rng, n_classes: int = 5, dim: int = 8,
 
 def make_alignment_instance(rng: Rng, n_points: int = 40, dim: int = 8,
                             n_groups: int = 5):
-    from opencon.core import sample_uniform_sphere
-
     features = sample_uniform_sphere(dim, n_points, rng)
     assignments = rng.integers(0, n_groups, size=n_points)
     assignments[: 2] = 0  # guarantee at least one non-degenerate group
@@ -491,8 +494,6 @@ def make_collision_instance(rng: Rng, n_classes: int = 5, dim: int = 6,
                             per_class: int = 12, kappa: float = 5.0):
     """Population with one dominant (to-be-gated) class, in the regime where
     removing it provably lowers the collision probability."""
-    from opencon.core import VmfParams, sample_uniform_sphere, sample_vmf
-
     means = sample_uniform_sphere(dim, n_classes, rng)
     features = np.concatenate([
         sample_vmf(VmfParams(means[c], kappa), per_class, rng)

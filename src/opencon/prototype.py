@@ -57,10 +57,6 @@ class PrototypeStore:
     def n_classes(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
     def known_matrix(self) -> np.ndarray:
         return self.matrix[self.known_ids]
 

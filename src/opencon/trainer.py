@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opencon.core import OpenConError, RngBundle, as_f64
+from opencon.core import OpenConError, Rng, as_f64
 from opencon.data import (
     AugmentConfig,
     BatchSampler,
@@ -118,17 +118,14 @@ class TrainConfig:
             raise ValueError("gamma must lie in [0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.early_stop_patience < 1:
+            raise ValueError("early_stop_patience must be >= 1")
         self.weights  # validate temperatures/coefficients eagerly
 
     @property
     def weights(self) -> LossWeights:
         return LossWeights(self.lambda_n, self.tau_n, self.lambda_l, self.tau_l,
                            self.lambda_u, self.tau_u, self.kl_weight)
-
-    def as_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["milestones"] = list(self.milestones)
-        return out
 
 
 def json_clean(value):
@@ -200,19 +197,17 @@ def evaluate_model(mlp: Mlp, store: PrototypeStore,
 def detection_report(mlp: Mlp, store: PrototypeStore, split: SplitDataset,
                      tau: float) -> dict[str, DetectionMetrics]:
     """Known-vs-novel separation on the unlabeled pool for every score
-    variant (true-known unlabeled samples are in-distribution)."""
+    variant (true-known unlabeled samples are in-distribution). Empty when
+    the pool lacks either side, e.g. when every known sample is labeled."""
+    is_known = np.isin(split.unlabeled_true_labels(), split.known_classes)
+    if is_known.all() or not is_known.any():
+        return {}
     z, _ = forward(mlp, split.unlabeled_features())
-    truth = split.unlabeled_true_labels()
-    is_known = np.isin(truth, split.known_classes)
     out = {}
     for variant in SCORE_VARIANTS:
         scores = ood_scores(z, store, variant, tau)
         out[variant] = detection_metrics(scores[is_known], scores[~is_known])
     return out
-
-
-def _epoch_mean(values: list[float]) -> float:
-    return float(np.mean(values)) if values else 0.0
 
 
 def train(
@@ -239,7 +234,7 @@ def train(
         raise ValueError(f"n_prototypes={n_protos} leaves no novel prototype for "
                          f"gated unlabeled views; use more than {n_known} or b_u=0")
 
-    rngs = RngBundle(config.seed)
+    rngs = {name: Rng(config.seed, name) for name in _RNG_STREAMS_SAVED}
     if start_state is not None:
         if start_state.total_epochs != config.epochs:
             raise VersionMismatch("checkpoint was produced with a different epoch budget")
@@ -249,32 +244,30 @@ def train(
             raise VersionMismatch("checkpoint dimensions disagree with the config/split")
         mlp = start_state.mlp.copy()
         store = start_state.store.copy()
-        optimizer = Optimizer(_opt_config(config), mlp)
-        optimizer.velocity = Grads(start_state.velocity.w1.copy(),
-                                   start_state.velocity.b1.copy(),
-                                   start_state.velocity.w2.copy(),
-                                   start_state.velocity.b2.copy())
         for name, words in start_state.rng_words.items():
-            getattr(rngs, name).set_state_words(words)
+            rngs[name].set_state_words(words)
         first_epoch = start_state.next_epoch
     else:
-        mlp = Mlp.init(m, h, d, rngs.init)
-        store = init_prototypes(n_protos, d, rngs.init, n_known)
-        optimizer = Optimizer(_opt_config(config), mlp)
+        mlp = Mlp.init(m, h, d, rngs["init"])
+        store = init_prototypes(n_protos, d, rngs["init"], n_known)
         first_epoch = 0
+    optimizer = Optimizer(OptimizerConfig(
+        lr=config.lr, momentum=config.momentum, weight_decay=config.weight_decay,
+        decay_factor=config.lr_decay, milestones=config.milestones,
+        total_epochs=config.epochs), mlp)
+    if start_state is not None:
+        optimizer.velocity = Grads(*dataclasses.astuple(start_state.velocity))
 
     def snapshot(next_epoch: int) -> TrainState:
         return TrainState(mlp, optimizer.velocity, store, next_epoch, config.epochs,
-                          {name: getattr(rngs, name).state_words()
-                           for name in _RNG_STREAMS_SAVED})
+                          {name: rng.state_words() for name, rng in rngs.items()})
 
-    sampler = BatchSampler(split, config.b_l, config.b_u, rngs.data, rngs.augment,
+    sampler = BatchSampler(split, config.b_l, config.b_u, rngs["data"], rngs["augment"],
                            AugmentConfig(config.aug_sigma, config.aug_p_mask))
     weights = config.weights
     drops = {"drop_l": config.drop_l, "drop_u": config.drop_u, "drop_n": config.drop_n}
     labeled_y = split.labeled_labels()
     reports: list[EpochReport] = []
-    loss_history: list[float] = []
 
     for epoch in range(first_epoch, config.epochs):
         store.reset_counts()
@@ -283,7 +276,7 @@ def train(
             z_all_l, _ = forward(mlp, split.labeled_features())
             lam_epoch = calibrate_threshold(z_all_l, store, config.p)
 
-        sums = {"total": [], "l": [], "u": [], "n": [], "kl": []}
+        losses: list[tuple[float, float, float, float, float]] = []
         lam_values: list[float] = []
         gated_count = 0
         unlabeled_count = 0
@@ -322,11 +315,8 @@ def train(
             update_prototypes(store, z_l, batch_l.labels, z_u[novel_rows],
                               config.gamma)
 
-            sums["total"].append(breakdown.total)
-            sums["l"].append(breakdown.l)
-            sums["u"].append(breakdown.u)
-            sums["n"].append(breakdown.n)
-            sums["kl"].append(breakdown.kl)
+            losses.append((breakdown.total, breakdown.l, breakdown.u, breakdown.n,
+                           breakdown.kl))
             if np.isfinite(lam):
                 lam_values.append(float(lam))
             gated_count += int(novel_rows.size)
@@ -343,42 +333,34 @@ def train(
         else:
             acc_all = acc_novel = acc_seen = None
 
-        report = EpochReport(
+        loss_total, loss_l, loss_u, loss_n, kl = (
+            float(np.mean(column)) for column in zip(*losses))
+        reports.append(EpochReport(
             epoch=epoch,
-            loss_total=_epoch_mean(sums["total"]),
-            loss_l=_epoch_mean(sums["l"]),
-            loss_u=_epoch_mean(sums["u"]),
-            loss_n=_epoch_mean(sums["n"]),
-            kl=_epoch_mean(sums["kl"]),
-            lambda_threshold=_epoch_mean(lam_values) if lam_values else None,
+            loss_total=loss_total,
+            loss_l=loss_l,
+            loss_u=loss_u,
+            loss_n=loss_n,
+            kl=kl,
+            lambda_threshold=float(np.mean(lam_values)) if lam_values else None,
             gated_fraction=(gated_count / unlabeled_count) if unlabeled_count else 0.0,
             acc_all=acc_all,
             acc_novel=acc_novel,
             acc_seen=acc_seen,
             active_prototypes=converged_cluster_count(store),
-        )
-        reports.append(report)
-        loss_history.append(report.loss_total)
+        ))
 
         if checkpoint_path is not None and checkpoint_every:
             if (epoch + 1) % checkpoint_every == 0 and not is_last:
                 checkpoint_save(checkpoint_path, snapshot(epoch + 1))
 
-        if config.early_stop and len(loss_history) > config.early_stop_patience:
-            prev = loss_history[-1 - config.early_stop_patience]
-            rel = abs(loss_history[-1] - prev) / max(abs(prev), 1e-12)
+        if config.early_stop and len(reports) > config.early_stop_patience:
+            prev = reports[-1 - config.early_stop_patience].loss_total
+            rel = abs(reports[-1].loss_total - prev) / max(abs(prev), 1e-12)
             if rel < config.early_stop_tol:
                 break
 
     return TrainResult(mlp, store, reports, config, snapshot(config.epochs))
-
-
-def _opt_config(config: TrainConfig) -> OptimizerConfig:
-    return OptimizerConfig(
-        lr=config.lr, momentum=config.momentum, weight_decay=config.weight_decay,
-        decay_factor=config.lr_decay, milestones=config.milestones,
-        total_epochs=config.epochs,
-    )
 
 
 # ---------------------------------------------------------------------------

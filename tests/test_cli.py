@@ -154,6 +154,50 @@ class TestTrain:
         assert rc == 0
         assert len(metrics.read_text().splitlines()) == 2  # flag beats file
 
+    def test_config_file_seed_reaches_split(self, data_file, tmp_path):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = 7\n")
+        lines = []
+        for tag, seed_args in (("file", ["--config", str(cfg)]), ("flag", ["--seed", "7"])):
+            metrics = tmp_path / f"m_{tag}.jsonl"
+            summary = tmp_path / f"s_{tag}.json"
+            argv = train_args(data_file)
+            del argv[argv.index("--seed"):argv.index("--seed") + 2]
+            rc = main(argv + seed_args + ["--metrics", str(metrics),
+                                          "--summary", str(summary),
+                                          "--checkpoint-out", str(tmp_path / f"{tag}.ockp")])
+            assert rc == 0
+            lines.append(metrics.read_bytes())
+        assert lines[0] == lines[1]
+        out = tmp_path / "eval.json"
+        rc = main(["eval", "--data", str(data_file), "--checkpoint", str(tmp_path / "file.ockp"),
+                   "--seed", "7", "--out", str(out), "--no-timestamps"])
+        assert rc == 0
+        trained = json.loads((tmp_path / "s_file.json").read_text())
+        assert json.loads(out.read_text())["accuracy"] == trained["accuracy"]
+
+    def test_negative_unlabeled_batch_is_runtime_error(self, data_file, tmp_path, capsys):
+        metrics = tmp_path / "m.jsonl"
+        rc = main(train_args(data_file, ["--b-u", "-5", "--metrics", str(metrics)]))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not metrics.read_text()
+
+    def test_full_label_ratio_has_empty_detection(self, data_file, tmp_path):
+        # every known sample is labeled: no in-distribution unlabeled scores
+        ckpt, summary, out = (tmp_path / n for n in ("run.ockp", "s.json", "e.json"))
+        argv = train_args(data_file, ["--checkpoint-out", str(ckpt),
+                                      "--metrics", str(tmp_path / "m.jsonl"),
+                                      "--summary", str(summary)])
+        argv[argv.index("--label-ratio") + 1] = "1.0"
+        assert main(argv) == 0
+        assert json.loads(summary.read_text())["detection"] == {}
+        rc = main(["eval", "--data", str(data_file), "--label-ratio", "1.0",
+                   "--checkpoint", str(ckpt), "--seed", "2", "--out", str(out),
+                   "--no-timestamps"])
+        assert rc == 0
+        assert json.loads(out.read_text())["detection"] == {}
+
     def test_unknown_config_key_fails_fast(self, data_file, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not_a_key = 3\n")

@@ -176,6 +176,12 @@ class TestBatchSampler:
         with pytest.raises(BatchTooLarge):
             BatchSampler(split, 4, split.n_unlabeled + 1, Rng(0, "data"), Rng(0, "augment"))
 
+    @pytest.mark.parametrize("b_u", [-1, -5])
+    def test_negative_unlabeled_batch(self, b_u):
+        split = self.make_split()
+        with pytest.raises(ValueError, match="b_u"):
+            BatchSampler(split, 4, b_u, Rng(0, "data"), Rng(0, "augment"))
+
     def test_labels_attached(self):
         split = self.make_split()
         sampler = BatchSampler(split, 4, 4, Rng(15, "data"), Rng(15, "augment"))

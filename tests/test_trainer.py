@@ -124,6 +124,12 @@ class TestTrainLoop:
         result = train(cfg, tiny_split())
         assert len(result.reports) == 6  # patience + 1 epochs, then plateau exit
 
+    @pytest.mark.parametrize("patience", [0, -1])
+    def test_early_stop_patience_below_one_rejected(self, patience):
+        # patience 0 would compare each epoch's loss with itself and stop at once
+        with pytest.raises(ValueError, match="early_stop_patience"):
+            tiny_config(early_stop=True, early_stop_patience=patience)
+
     def test_warm_start_flag_changes_run(self):
         split = tiny_split()
         a = train(tiny_config(), split)
@@ -164,6 +170,14 @@ class TestDetectionReport:
             assert 0.0 <= metrics.auroc <= 1.0
             assert 0.0 <= metrics.fpr95 <= 1.0
 
+    def test_empty_without_known_unlabeled_samples(self):
+        # label ratio 1.0: every known sample is labeled, so the unlabeled
+        # pool holds no in-distribution score
+        rng = Rng(0, "data")
+        split = make_split(generate_synthetic(6, 30, 12, 40.0, rng), 0.5, 1.0, rng)
+        result = train(tiny_config(epochs=2), split)
+        assert detection_report(result.mlp, result.store, split, 0.7) == {}
+
 
 class TestCheckpoint:
     def test_resume_matches_straight_run(self, tmp_path):
@@ -182,6 +196,21 @@ class TestCheckpoint:
         np.testing.assert_array_equal(straight.store.matrix, resumed.store.matrix)
         tail = [r.as_dict() for r in straight.reports[3:]]
         assert tail == [r.as_dict() for r in resumed.reports]
+
+    def test_resume_leaves_start_state_untouched(self, tmp_path):
+        split = tiny_split()
+        cfg = tiny_config(epochs=6)
+        path = tmp_path / "mid.ockp"
+        train(cfg, split, checkpoint_path=path, checkpoint_every=3)
+        state = checkpoint_load(path)
+        velocity = state.velocity
+        arrays = [*state.mlp.params().values(), velocity.w1, velocity.b1, velocity.w2,
+                  velocity.b2, state.store.matrix, state.store.assignment_counts,
+                  state.store.known_ids]
+        before = [a.copy() for a in arrays]
+        train(cfg, split, start_state=state)
+        for old, new in zip(before, arrays, strict=True):
+            np.testing.assert_array_equal(old, new)
 
     def test_state_roundtrip(self, tmp_path):
         split = tiny_split()
