@@ -152,6 +152,11 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _detection_json(mlp, store, split, tau: float) -> dict:
+    return {variant: {"auroc": m.auroc, "fpr95": m.fpr95}
+            for variant, m in detection_report(mlp, store, split, tau).items()}
+
+
 def _metrics_sink(path):
     if path:
         return open(path, "w", encoding="utf-8")
@@ -178,7 +183,6 @@ def cmd_train(args) -> int:
         checkpoint_save(args.checkpoint_out, result.final_state)
 
     final = result.final
-    detection = detection_report(result.mlp, result.store, split, config.tau_n)
     summary = {
         "config": dataclasses.asdict(config),
         "epochs_run": len(result.reports),
@@ -186,8 +190,7 @@ def cmd_train(args) -> int:
                      "seen": final.acc_seen},
         "converged_prototypes": final.active_prototypes,
         "final_loss": final.loss_total,
-        "detection": {k: {"auroc": v.auroc, "fpr95": v.fpr95}
-                      for k, v in detection.items()},
+        "detection": _detection_json(result.mlp, result.store, split, config.tau_n),
     }
     _emit_json(summary, args.summary, args.no_timestamps)
     print(f"final accuracy all/novel/seen = "
@@ -200,12 +203,10 @@ def cmd_eval(args) -> int:
     split = _load_split(args, _flag_seed(args))
     state = checkpoint_load(args.checkpoint)
     triple, _ = evaluate_model(state.mlp, state.store, split)
-    detection = detection_report(state.mlp, state.store, split, args.tau)
     payload = {
         "accuracy": triple.as_dict(),
         "converged_prototypes": converged_cluster_count(state.store),
-        "detection": {k: {"auroc": v.auroc, "fpr95": v.fpr95}
-                      for k, v in detection.items()},
+        "detection": _detection_json(state.mlp, state.store, split, args.tau),
     }
     _emit_json(payload, args.out, args.no_timestamps)
     return 0

@@ -67,9 +67,7 @@ def log_sum_exp(v, axis: int = -1) -> np.ndarray | float:
     """Shifted log-sum-exp; overflow-free for any finite inputs."""
     v = as_f64(v)
     m = np.max(v, axis=axis, keepdims=True)
-    out = np.squeeze(m, axis=axis) + np.log(
-        np.sum(np.sort(np.exp(v - m), axis=axis), axis=axis)
-    )
+    out = np.squeeze(m, axis=axis) + np.log(stable_sum(np.exp(v - m), axis))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -108,8 +106,8 @@ def percentile_threshold(scores, p: float) -> float:
     return float(ordered[k])
 
 
-class Rng:
-    """Deterministic random stream.
+class Rng(np.random.Generator):
+    """Deterministic random stream: a PCG64 `numpy.random.Generator`.
 
     Identical (seed, stream, call sequence) produce identical outputs, and
     the named streams are mutually independent: drawing from one never
@@ -122,37 +120,16 @@ class Rng:
         self.seed = int(seed)
         self.stream = stream
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(STREAMS.index(stream),))
-        self._gen = np.random.Generator(np.random.PCG64(ss))
-
-    def normal(self, size=None, loc: float = 0.0, scale: float = 1.0) -> np.ndarray:
-        return self._gen.normal(loc=loc, scale=scale, size=size)
-
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self._gen.uniform(low, high, size=size)
-
-    def random(self, size=None):
-        return self._gen.random(size=size)
-
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def choice(self, n, size=None, replace: bool = True, p=None):
-        return self._gen.choice(n, size=size, replace=replace, p=p)
-
-    def beta(self, a: float, b: float, size=None):
-        return self._gen.beta(a, b, size=size)
+        super().__init__(np.random.PCG64(ss))
 
     # PCG64 state as plain ints, for binary checkpoints
     def state_words(self) -> tuple[int, int, int, int]:
-        st = self._gen.bit_generator.state
+        st = self.bit_generator.state
         return (st["state"]["state"], st["state"]["inc"],
                 int(st["has_uint32"]), int(st["uinteger"]))
 
     def set_state_words(self, words: tuple[int, int, int, int]) -> None:
-        self._gen.bit_generator.state = {
+        self.bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": int(words[0]), "inc": int(words[1])},
             "has_uint32": int(words[2]),

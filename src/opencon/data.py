@@ -28,6 +28,8 @@ UNLABELED = -1
 FEATURE_MAGIC = b"OCFT"
 FEATURE_VERSION = 1
 
+MEAN_PLACEMENT_TRIES = 10_000  # draws per class mean in generate_synthetic
+
 
 class InvalidDimension(OpenConError):
     """Feature dimension too small for the requested construction."""
@@ -79,6 +81,9 @@ class Dataset:
             raise InvalidDimension("features must be 2-D (n, m)")
         if len(self.labels) != len(self.features) or len(self.ids) != len(self.features):
             raise DimensionMismatch("features/labels/ids length mismatch")
+        if np.unique(self.ids).size != len(self.ids):
+            # views are paired by id: a shared id makes other samples positives
+            raise ValueError("sample ids must be unique")
 
     @property
     def n(self) -> int:
@@ -96,7 +101,6 @@ def generate_synthetic(
     kappa: float,
     rng: Rng,
     max_mean_cosine: float = 0.5,
-    max_tries: int = 10_000,
 ) -> Dataset:
     """Class-balanced mixture of von Mises-Fisher clusters.
 
@@ -112,7 +116,7 @@ def generate_synthetic(
         raise ValueError(f"kappa must be > 0, got {kappa}")
     means = np.zeros((n_classes, ambient_dim))
     for c in range(n_classes):
-        for attempt in range(max_tries):
+        for _ in range(MEAN_PLACEMENT_TRIES):
             cand = sample_uniform_sphere(ambient_dim, 1, rng)[0]
             if c == 0 or np.max(means[:c] @ cand) <= max_mean_cosine:
                 means[c] = cand
@@ -206,6 +210,10 @@ def make_split(
     classes = np.unique(dataset.labels)
     if np.any(classes < 0):
         raise ValueError("make_split needs a fully labeled dataset")
+    if not np.array_equal(classes, np.arange(len(classes))):
+        # known prototype rows are index-aligned with class ids
+        raise ValueError(f"class ids must be 0..{len(classes) - 1}, "
+                         f"got {classes.min()}..{classes.max()}")
     n_known = int(np.floor(known_fraction * len(classes)))
     if n_known == 0:
         raise EmptyLabeledSet("known_fraction selects zero classes")

@@ -166,6 +166,10 @@ def converged_cluster_count(store: PrototypeStore) -> int:
 # Spherical k-means and class-count estimation
 # ---------------------------------------------------------------------------
 
+KMEANS_MAX_ITER = 100
+KMEANS_RESTARTS = 4  # k-means++ seedings per clustering; the best objective wins
+
+
 def _kmeanspp_seed(z: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     n = len(z)
     first = int(rng.integers(0, n))
@@ -183,13 +187,7 @@ def _kmeanspp_seed(z: np.ndarray, k: int, rng: Rng) -> np.ndarray:
     return z[centers].copy()
 
 
-def spherical_kmeans(
-    z: np.ndarray,
-    k: int,
-    rng: Rng,
-    max_iter: int = 100,
-    n_init: int = 4,
-) -> tuple[np.ndarray, np.ndarray]:
+def spherical_kmeans(z: np.ndarray, k: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """k-means with cosine similarity and renormalized centroids.
 
     Returns (labels, centroids); deterministic given the rng. Empty clusters
@@ -200,10 +198,10 @@ def spherical_kmeans(
     if k < 1 or k > n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     best_labels, best_centroids, best_score = None, None, -np.inf
-    for _ in range(n_init):
+    for _ in range(KMEANS_RESTARTS):
         centroids = _kmeanspp_seed(z, k, rng)
         labels = np.full(n, -1, np.int64)
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             sims = z @ centroids.T
             new_labels = np.argmax(sims, axis=1)
             for c in range(k):
@@ -230,7 +228,6 @@ def estimate_class_number(
     labels: np.ndarray,
     candidate_range,
     rng: Rng,
-    n_init: int = 4,
 ) -> int:
     """Pick the class count whose clustering best explains the labeled subset.
 
@@ -246,7 +243,7 @@ def estimate_class_number(
     lab_classes = np.unique(labels[labeled_mask])
     best_k, best_score = candidates[0], -1.0
     for k in candidates:
-        cluster_ids, _ = spherical_kmeans(embeddings, k, rng, n_init=n_init)
+        cluster_ids, _ = spherical_kmeans(embeddings, k, rng)
         score = _matched_accuracy(cluster_ids[labeled_mask], labels[labeled_mask],
                                   k, lab_classes)
         if score > best_score:

@@ -82,19 +82,6 @@ class LossBreakdown:
     kl: float
 
 
-def _anchor_terms(sim_row: np.ndarray, positives: np.ndarray,
-                  negatives: np.ndarray, tau: float) -> tuple[float, float]:
-    """(alignment, log-partition) parts of one anchor's loss.
-
-    alignment = -(1/|P|) sum of s/tau over positives;
-    log-partition = logsumexp of s/tau over negatives.
-    """
-    s_pos = sim_row[positives] / tau
-    lse = log_sum_exp(sim_row[negatives] / tau)
-    align = -stable_sum(s_pos) / len(positives)
-    return align, lse
-
-
 def per_sample_loss(embeddings: np.ndarray, sets: ContrastSets,
                     tau: float) -> tuple[float, np.ndarray]:
     """Per-anchor contrastive loss and its exact gradient.
@@ -105,6 +92,28 @@ def per_sample_loss(embeddings: np.ndarray, sets: ContrastSets,
         EmptyPositiveSet: if the positive set is empty.
         InvalidTemperature: if tau <= 0.
     """
+    align, lse = decompose_alignment(embeddings, sets, tau)
+    z = as_f64(embeddings)
+    a = sets.anchor
+    grad = np.zeros_like(z)
+    coeff = np.zeros(len(z))
+    np.add.at(coeff, sets.positives, -1.0 / (len(sets.positives) * tau))
+    w = softmax((z @ z[a])[sets.negatives], tau)
+    np.add.at(coeff, sets.negatives, w / tau)
+    grad[a] += coeff @ z
+    grad += np.outer(coeff, z[a])
+    return align + lse, grad
+
+
+def decompose_alignment(embeddings: np.ndarray, sets: ContrastSets,
+                        tau: float) -> tuple[float, float]:
+    """Split the per-anchor loss into its alignment part (mean positive
+    similarity, negated) and its log-partition part; the two sum back to
+    :func:`per_sample_loss` exactly.
+
+    alignment = -(1/|P|) sum of s/tau over positives;
+    log-partition = logsumexp of s/tau over negatives.
+    """
     if tau <= 0:
         raise InvalidTemperature(f"tau must be > 0, got {tau}")
     z = as_f64(embeddings)
@@ -112,59 +121,30 @@ def per_sample_loss(embeddings: np.ndarray, sets: ContrastSets,
         raise EmptyPositiveSet(f"anchor {sets.anchor} has no positives")
     if len(sets.negatives) == 0:
         raise ValueError("negative set must be nonempty")
-    a = sets.anchor
-    sim_row = z @ z[a]
-    align, lse = _anchor_terms(sim_row, sets.positives, sets.negatives, tau)
-    loss = align + lse
-
-    grad = np.zeros_like(z)
-    coeff = np.zeros(len(z))
-    np.add.at(coeff, sets.positives, -1.0 / (len(sets.positives) * tau))
-    w = softmax(sim_row[sets.negatives], tau)
-    np.add.at(coeff, sets.negatives, w / tau)
-    grad[a] += coeff @ z
-    grad += np.outer(coeff, z[a])
-    return loss, grad
-
-
-def decompose_alignment(embeddings: np.ndarray, sets: ContrastSets,
-                        tau: float) -> tuple[float, float]:
-    """Split the per-anchor loss into its alignment part (mean positive
-    similarity, negated) and its log-partition part; the two sum back to
-    :func:`per_sample_loss` exactly."""
-    if tau <= 0:
-        raise InvalidTemperature(f"tau must be > 0, got {tau}")
-    if len(sets.positives) == 0:
-        raise EmptyPositiveSet(f"anchor {sets.anchor} has no positives")
-    z = as_f64(embeddings)
     sim_row = z @ z[sets.anchor]
-    return _anchor_terms(sim_row, sets.positives, sets.negatives, tau)
+    align = -stable_sum(sim_row[sets.positives] / tau) / len(sets.positives)
+    return align, log_sum_exp(sim_row[sets.negatives] / tau)
 
 
-def _others_mask(n: int, anchor: int) -> np.ndarray:
-    mask = np.ones(n, dtype=bool)
-    mask[anchor] = False
-    return mask
+def _same_key_sets(keys: np.ndarray, anchor: int) -> ContrastSets:
+    """Positives = the other views whose key equals the anchor's; negatives =
+    every other view in the batch."""
+    keys = np.asarray(keys)
+    others = np.arange(len(keys)) != anchor
+    return ContrastSets(anchor, np.flatnonzero(others & (keys == keys[anchor])),
+                        np.flatnonzero(others))
 
 
 def build_sets_supcon(labels: np.ndarray, anchor: int) -> ContrastSets:
     """Positives = other views sharing the anchor's ground-truth label;
     negatives = every other view in the batch."""
-    labels = np.asarray(labels)
-    others = _others_mask(len(labels), anchor)
-    pos = np.flatnonzero(others & (labels == labels[anchor]))
-    neg = np.flatnonzero(others)
-    return ContrastSets(anchor, pos, neg)
+    return _same_key_sets(labels, anchor)
 
 
 def build_sets_simclr(sample_ids: np.ndarray, anchor: int) -> ContrastSets:
     """Positives = the other view of the same sample; negatives = the rest of
     the batch."""
-    sample_ids = np.asarray(sample_ids)
-    others = _others_mask(len(sample_ids), anchor)
-    pos = np.flatnonzero(others & (sample_ids == sample_ids[anchor]))
-    neg = np.flatnonzero(others)
-    return ContrastSets(anchor, pos, neg)
+    return _same_key_sets(sample_ids, anchor)
 
 
 def build_sets_novel(pseudo_labels: np.ndarray, anchor: int) -> ContrastSets:
@@ -174,13 +154,10 @@ def build_sets_novel(pseudo_labels: np.ndarray, anchor: int) -> ContrastSets:
     Raises:
         EmptyPositiveSet: when no other view shares the prediction.
     """
-    pseudo_labels = np.asarray(pseudo_labels)
-    others = _others_mask(len(pseudo_labels), anchor)
-    pos = np.flatnonzero(others & (pseudo_labels == pseudo_labels[anchor]))
-    if pos.size == 0:
+    sets = _same_key_sets(pseudo_labels, anchor)
+    if sets.positives.size == 0:
         raise EmptyPositiveSet(f"anchor {anchor} shares its prediction with no other view")
-    neg = np.flatnonzero(others)
-    return ContrastSets(anchor, pos, neg)
+    return sets
 
 
 def _masked_contrastive(z: np.ndarray, pos_mask: np.ndarray,
@@ -210,9 +187,9 @@ def _masked_contrastive(z: np.ndarray, pos_mask: np.ndarray,
     np.fill_diagonal(s_neg, -np.inf)
     rowmax = np.max(s_neg, axis=1)
     e = np.exp(s_neg - rowmax[:, None])
-    denom = np.sum(np.sort(e, axis=1), axis=1)
+    denom = stable_sum(e, axis=1)
     lse = rowmax + np.log(denom)
-    pos_sum = np.sum(np.sort(np.where(pos_mask, s, 0.0), axis=1), axis=1)
+    pos_sum = stable_sum(np.where(pos_mask, s, 0.0), axis=1)
     losses = lse - pos_sum / np.maximum(n_pos, 1)
     loss = stable_sum(losses[contrib]) / n_c
 
@@ -267,7 +244,7 @@ def kl_regularizer(z: np.ndarray, prototypes: np.ndarray, tau: float,
     if n == 0:
         return 0.0, np.zeros_like(z)
     q = softmax(z @ m.T, tau)
-    q_bar = np.sum(np.sort(q, axis=0), axis=0) / n
+    q_bar = stable_sum(q, axis=0) / n
     kl = stable_sum(q_bar * (np.log(q_bar) - np.log(prior)))
     g = np.log(q_bar) - np.log(prior) + 1.0
     inner = q * g[None, :] - (q @ g)[:, None] * q

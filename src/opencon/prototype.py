@@ -266,7 +266,5 @@ def detection_metrics(id_scores: np.ndarray, ood_scores_: np.ndarray) -> Detecti
     u = stable_sum(ranks[:n_id]) - n_id * (n_id + 1) / 2.0
     auroc = u / (n_id * n_ood)
 
-    k = n_id - int(np.ceil(0.95 * n_id))
-    threshold = np.sort(id_scores)[k]
-    fpr95 = float(np.mean(ood >= threshold))
+    fpr95 = float(np.mean(ood >= percentile_threshold(id_scores, 95.0)))
     return DetectionMetrics(float(auroc), fpr95)

@@ -236,6 +236,9 @@ def train(
 
     rngs = {name: Rng(config.seed, name) for name in _RNG_STREAMS_SAVED}
     if start_state is not None:
+        if config.early_stop:
+            # the patience window would restart at the resume point
+            raise ValueError("early stopping cannot be combined with a resume")
         if start_state.total_epochs != config.epochs:
             raise VersionMismatch("checkpoint was produced with a different epoch budget")
         if start_state.next_epoch >= config.epochs:

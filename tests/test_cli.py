@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from opencon.cli import main
-from opencon.data import Dataset, ingest_features, write_features
+from opencon.core import Rng
+from opencon.data import Dataset, ingest_features, make_split, write_features
+from opencon.trainer import TrainConfig, train
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +199,28 @@ class TestTrain:
                    "--no-timestamps"])
         assert rc == 0
         assert json.loads(out.read_text())["detection"] == {}
+
+    def test_class_ids_not_from_zero_is_runtime_error(self, data_file, tmp_path, capsys):
+        ds = ingest_features(data_file)
+        shifted = tmp_path / "shifted.csv"
+        write_features(shifted, Dataset(ds.features, ds.labels + 1, ds.ids), fmt="csv")
+        metrics = tmp_path / "m.jsonl"
+        rc = main(train_args(shifted, ["--metrics", str(metrics)]))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: class ids")
+        assert not metrics.exists()
+
+    def test_resume_with_early_stop_is_runtime_error(self, data_file, tmp_path, capsys):
+        # a mid-run checkpoint (next epoch 2 of 4) of the run train_args describes
+        ckpt = tmp_path / "mid.ockp"
+        split = make_split(ingest_features(data_file), 0.5, 0.5, Rng(2, "data"))
+        config = TrainConfig(epochs=4, b_l=8, b_u=8, embed_dim=16, seed=2)
+        train(config, split, checkpoint_path=ckpt, checkpoint_every=2)
+        rc = main(train_args(data_file, ["--epochs", "4", "--early-stop",
+                                         "--resume", str(ckpt),
+                                         "--metrics", str(tmp_path / "r.jsonl")]))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: early stopping")
 
     def test_unknown_config_key_fails_fast(self, data_file, tmp_path):
         cfg = tmp_path / "bad.cfg"

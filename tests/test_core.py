@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opencon.core import (
+    STREAMS,
     DegenerateVector,
     EmptyScores,
     InvalidTemperature,
@@ -176,6 +177,28 @@ class TestRng:
         rng2 = Rng(99, "data")
         rng2.set_state_words(words)
         np.testing.assert_array_equal(rng2.normal(size=9), expected)
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_draws_match_plain_generator(self, stream):
+        # an Rng is the PCG64 Generator seeded by SeedSequence(seed, spawn_key=(stream index,))
+        seed = 12345
+        ss = np.random.SeedSequence(seed, spawn_key=(STREAMS.index(stream),))
+        ref = np.random.Generator(np.random.PCG64(ss))
+        rng = Rng(seed, stream)
+        draws = [
+            lambda g: g.normal(size=7),
+            lambda g: g.normal(size=(2, 3), loc=1.5, scale=0.5),
+            lambda g: g.uniform(-2.0, 3.0, size=5),
+            lambda g: g.random(size=4),
+            lambda g: g.integers(0, 10, size=6),
+            lambda g: g.integers(3),
+            lambda g: g.permutation(9),
+            lambda g: g.choice(8, size=3, replace=False),
+            lambda g: g.choice(5, p=[0.1, 0.2, 0.3, 0.2, 0.2]),
+            lambda g: g.beta(0.5, 2.0, size=5),
+        ]
+        for draw in draws:
+            np.testing.assert_array_equal(draw(rng), draw(ref))
 
 
 class TestVmf:

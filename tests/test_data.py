@@ -97,6 +97,15 @@ class TestMakeSplit:
         with pytest.raises(EmptyLabeledSet):
             make_split(ds, 0.5, 0.05, Rng(9, "data"))  # floor(0.05*10) = 0 per class
 
+    @pytest.mark.parametrize("shift", [lambda y: y + 1, lambda y: np.where(y >= 2, y + 1, y)],
+                             ids=["from-one", "gap"])
+    def test_class_ids_must_be_zero_to_c_minus_one(self, shift):
+        # known prototype rows are index-aligned with class ids
+        ds = generate_synthetic(6, 10, 8, 50.0, Rng(9, "data"))
+        shifted = Dataset(ds.features, shift(ds.labels), ds.ids)
+        with pytest.raises(ValueError, match="class ids"):
+            make_split(shifted, 0.5, 0.5, Rng(9, "data"))
+
     def test_bad_fractions(self):
         ds = generate_synthetic(4, 10, 8, 50.0, Rng(9, "data"))
         with pytest.raises(ValueError):
@@ -198,6 +207,13 @@ class TestFeatureFiles:
         assert ds.n == 1 and ds.dim == 2
         assert ds.labels[0] == 3
         np.testing.assert_allclose(ds.features[0], [0.1, 0.2], atol=1e-7)
+
+    def test_csv_duplicate_ids_rejected(self, tmp_path):
+        # views are paired by sample id: a shared id would leak SimCLR positives
+        path = tmp_path / "dup.csv"
+        path.write_text("id,label,f0,f1\n0,0,0.1,0.2\n0,1,0.3,0.4\n1,1,0.5,0.6\n")
+        with pytest.raises(ValueError, match="unique"):
+            ingest_features(path, fmt="csv")
 
     def test_csv_dimension_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -389,3 +389,25 @@ class TestDetectionMetrics:
             detection_metrics([], [0.1])
         with pytest.raises(EmptyScores):
             detection_metrics([0.1], [])
+
+
+def _fpr95_ceil_rank(id_scores, ood) -> float:
+    """FPR95 with the threshold at rank n - ceil(0.95 n) of the sorted ID
+    scores, written out independently of percentile_threshold."""
+    id_scores = np.asarray(id_scores, float)
+    n = id_scores.size
+    threshold = np.sort(id_scores)[n - int(np.ceil(0.95 * n))]
+    return float(np.mean(np.asarray(ood, float) >= threshold))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 30), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_fpr95_equals_ceil_rank(n_id, n_ood, levels, seed):
+    # few distinct levels make ties between and across the two score sets
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, levels, size=n_id) / levels
+    oods = rng.integers(0, levels, size=n_ood) / levels
+    assert detection_metrics(ids, oods).fpr95 == _fpr95_ceil_rank(ids, oods)
+    ids = rng.normal(size=n_id)
+    oods = rng.normal(size=n_ood)
+    assert detection_metrics(ids, oods).fpr95 == _fpr95_ceil_rank(ids, oods)

@@ -197,6 +197,18 @@ class TestCheckpoint:
         tail = [r.as_dict() for r in straight.reports[3:]]
         assert tail == [r.as_dict() for r in resumed.reports]
 
+    def test_resume_refuses_early_stop(self, tmp_path):
+        # the patience window restarts at the resume point, so a resumed run
+        # could train epochs the straight run never reached
+        split = tiny_split()
+        cfg = tiny_config(epochs=6, early_stop=True, early_stop_patience=1,
+                          early_stop_tol=0.5)
+        path = tmp_path / "mid.ockp"
+        train(cfg, split, checkpoint_path=path, checkpoint_every=1)
+        state = checkpoint_load(path)
+        with pytest.raises(ValueError, match="early stopping"):
+            train(cfg, split, start_state=state)
+
     def test_resume_leaves_start_state_untouched(self, tmp_path):
         split = tiny_split()
         cfg = tiny_config(epochs=6)
