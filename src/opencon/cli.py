@@ -31,8 +31,7 @@ from opencon.evaluation import (
 )
 from opencon.prototype import pseudo_labels
 from opencon.trainer import (
-    LOSS_COMPONENT_VARIANTS,
-    P_SWEEP_VALUES,
+    ABLATION_PRESETS,
     TrainConfig,
     ablate,
     checkpoint_load,
@@ -118,10 +117,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _flag_seed(args) -> int:
-    return args.seed if args.seed is not None else 0
-
-
 def _load_split(args, seed: int):
     """The split drawn with `seed`: the resolved `TrainConfig.seed` for the
     commands that train, the --seed flag for the others."""
@@ -130,7 +125,7 @@ def _load_split(args, seed: int):
 
 
 def cmd_gen_data(args) -> int:
-    rng = Rng(_flag_seed(args), "data")
+    rng = Rng(args.seed, "data")
     dataset = generate_synthetic(args.classes, args.per_class, args.dim,
                                  args.kappa, rng,
                                  max_mean_cosine=args.max_mean_cosine)
@@ -142,7 +137,7 @@ def cmd_gen_data(args) -> int:
         "per_class": args.per_class,
         "dim": args.dim,
         "kappa": args.kappa,
-        "seed": _flag_seed(args),
+        "seed": args.seed,
         "max_mean_cosine": args.max_mean_cosine,
         "n_samples": dataset.n,
         "path": str(args.out),
@@ -200,11 +195,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    split = _load_split(args, _flag_seed(args))
+    split = _load_split(args, args.seed)
     state = checkpoint_load(args.checkpoint)
     triple, _ = evaluate_model(state.mlp, state.store, split)
     payload = {
-        "accuracy": triple.as_dict(),
+        "accuracy": dataclasses.asdict(triple),
         "converged_prototypes": converged_cluster_count(state.store),
         "detection": _detection_json(state.mlp, state.store, split, args.tau),
     }
@@ -215,13 +210,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     config = build_train_config(args)
     split = _load_split(args, config.seed)
-    if args.preset == "loss-components":
-        variants = list(LOSS_COMPONENT_VARIANTS)
-    elif args.preset == "p-sweep":
-        variants = [(f"p={value}", {"p": float(value)}) for value in P_SWEEP_VALUES]
-    else:  # modified-loss comparison
-        variants = [("full", {}), ("modified", {"use_modified_loss": True})]
-    rows = ablate(config, split, variants)
+    rows = ablate(config, split, ABLATION_PRESETS[args.preset])
     payload = {"preset": args.preset, "rows": rows,
                "config": dataclasses.asdict(config)}
     _emit_json(payload, args.out, args.no_timestamps)
@@ -231,7 +220,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_estimate_k(args) -> int:
-    split = _load_split(args, _flag_seed(args))
+    split = _load_split(args, args.seed)
     lo, _, hi = args.range.partition(":")
     candidates = range(int(lo), int(hi) + 1)
     feats = np.concatenate([split.labeled_features(), split.unlabeled_features()])
@@ -243,7 +232,7 @@ def cmd_estimate_k(args) -> int:
         embeddings, _ = forward(state.mlp, feats)
     else:
         embeddings = l2_normalize(feats)
-    rng = Rng(_flag_seed(args), "theory")
+    rng = Rng(args.seed, "theory")
     estimate = estimate_class_number(embeddings, labeled_mask, labels,
                                      candidates, rng)
     _emit_json({"estimate": estimate,
@@ -253,7 +242,7 @@ def cmd_estimate_k(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    summary = run_verification_suite(args.trials, _flag_seed(args), perturb=args.perturb)
+    summary = run_verification_suite(args.trials, args.seed)
     _emit_json({"trials": summary.trials, "passed": summary.passed,
                 "failures": list(summary.failures)}, args.out, args.no_timestamps)
     for failure in summary.failures:
@@ -291,8 +280,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_out=True):
-        p.add_argument("--seed", type=int, default=None)
+    def common(p, with_out=True, seed=0):
+        p.add_argument("--seed", type=int, default=seed)
         if with_out:
             p.add_argument("--out", default=None,
                            help="write JSON here instead of stdout")
@@ -309,7 +298,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="run the training loop")
-    common(p)
+    common(p, seed=None)  # None lets a config-file seed apply
     _add_split_flags(p)
     _add_train_flags(p)
     p.add_argument("--metrics", help="epoch metrics JSON-lines file (default stdout)")
@@ -328,11 +317,10 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="train and compare variants")
-    common(p)
+    common(p, seed=None)
     _add_split_flags(p)
     _add_train_flags(p)
-    p.add_argument("--preset", choices=("loss-components", "p-sweep", "modified-loss"),
-                   default="loss-components")
+    p.add_argument("--preset", choices=tuple(ABLATION_PRESETS), default="loss-components")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("estimate-k", help="estimate the class count")
@@ -345,8 +333,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the numerical verification suite")
     common(p)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--perturb", action="store_true",
-                   help=argparse.SUPPRESS)  # test hook: inject one failure
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -357,7 +343,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OpenConError, ValueError, FileNotFoundError) as exc:
+    except (OpenConError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         state = getattr(exc, "state", None)
         if state is not None:

@@ -26,7 +26,7 @@ class DegenerateVector(OpenConError):
 
 
 class InvalidTemperature(OpenConError):
-    """Softmax/contrastive temperature must be strictly positive."""
+    """Softmax/contrastive temperature must be finite and strictly positive."""
 
 
 class EmptyScores(OpenConError):
@@ -50,16 +50,16 @@ def stable_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray | floa
     return np.sum(np.sort(values, axis=axis), axis=axis)
 
 
-def l2_normalize(v, eps: float = EPS_NORM) -> np.ndarray:
+def l2_normalize(v) -> np.ndarray:
     """Scale `v` (a vector or a stack of row vectors) to unit L2 norm.
 
     Raises:
-        DegenerateVector: if any row norm is <= eps.
+        DegenerateVector: if any row norm is <= EPS_NORM.
     """
     v = as_f64(v)
     norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    if np.any(norms <= eps):
-        raise DegenerateVector(f"norm {float(norms.min()):.3e} <= {eps:.1e}")
+    if np.any(norms <= EPS_NORM):
+        raise DegenerateVector(f"norm {float(norms.min()):.3e} <= {EPS_NORM:.1e}")
     return v / norms
 
 
@@ -71,18 +71,24 @@ def log_sum_exp(v, axis: int = -1) -> np.ndarray | float:
     return float(out) if np.ndim(out) == 0 else out
 
 
-def softmax(v, tau: float = 1.0, axis: int = -1) -> np.ndarray:
-    """Temperature softmax along `axis`, computed with the max shift.
+def check_temperature(tau: float, name: str = "tau") -> None:
+    """Raise InvalidTemperature unless 0 < tau < inf; a NaN fails both
+    comparisons, where it would pass a bare `tau <= 0`."""
+    if not 0 < tau < np.inf:
+        raise InvalidTemperature(f"{name} must be finite and > 0, got {tau}")
+
+
+def softmax(v, tau: float) -> np.ndarray:
+    """Temperature softmax along the last axis, computed with the max shift.
 
     Raises:
-        InvalidTemperature: if tau <= 0.
+        InvalidTemperature: if tau is not finite and > 0.
     """
-    if tau <= 0:
-        raise InvalidTemperature(f"tau must be > 0, got {tau}")
+    check_temperature(tau)
     v = as_f64(v) / tau
-    v = v - np.max(v, axis=axis, keepdims=True)
+    v = v - np.max(v, axis=-1, keepdims=True)
     e = np.exp(v)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def percentile_threshold(scores, p: float) -> float:
@@ -151,8 +157,8 @@ class VmfParams:
             raise ValueError("mean_direction must be a vector with dim >= 2")
         if abs(np.linalg.norm(mu) - 1.0) > 1e-9:
             raise DegenerateVector("mean_direction must be unit norm")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        if not 0 <= self.kappa < np.inf:  # NaN/inf would hang the sampler
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
         object.__setattr__(self, "mean_direction", mu)
 
 

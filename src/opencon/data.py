@@ -44,18 +44,11 @@ class BatchTooLarge(OpenConError):
 
 
 class ParseError(OpenConError):
-    """A feature file failed to parse; carries line/offset context."""
+    """A feature file failed to parse; carries the CSV line, when known."""
 
-    def __init__(self, message: str, line: int | None = None, offset: int | None = None):
-        where = []
-        if line is not None:
-            where.append(f"line {line}")
-        if offset is not None:
-            where.append(f"offset {offset}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(message + suffix)
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.line = line
-        self.offset = offset
 
 
 class DimensionMismatch(OpenConError):
@@ -450,7 +443,7 @@ def _read_binary(path) -> Dataset:
     version, n, m = (int(v) for v in reader.take((3,), "<u4"))
     has_labels = int(reader.take((), "u1"))
     if version != FEATURE_VERSION:
-        raise ParseError(f"unsupported version {version}", offset=4)
+        raise ParseError(f"unsupported version {version} (offset 4)")
     feats = reader.take((n, m), "<f4")
     labels = reader.take((n,), "<i4") if has_labels else np.full(n, UNLABELED)
     reader.done()

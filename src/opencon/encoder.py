@@ -151,8 +151,8 @@ class Optimizer:
     """
 
     def __init__(self, cfg: OptimizerConfig, mlp: Mlp):
-        if cfg.lr <= 0:
-            raise ValueError("lr must be > 0")
+        if not 0 < cfg.lr < np.inf:
+            raise ValueError("lr must be finite and > 0")
         if list(cfg.milestones) != sorted(set(cfg.milestones)):
             raise ValueError("milestones must be strictly increasing")
         self.cfg = cfg

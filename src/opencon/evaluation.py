@@ -39,9 +39,6 @@ class AccuracyTriple:
     novel: float
     seen: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {"all": self.all, "novel": self.novel, "seen": self.seen}
-
 
 def _optimal_cost(cost: np.ndarray) -> float:
     if cost.size == 0:
@@ -274,7 +271,6 @@ def verify_optimal_prototypes(
     rng: Rng,
     n_candidates: int = 1000,
     n_configs: int = 32,
-    kappa: float = 2.0,
 ) -> OptimalPrototypeReport:
     """Check that normalized within-class means are the best prototypes.
 
@@ -303,6 +299,7 @@ def verify_optimal_prototypes(
             worst = min(worst, float(np.min(margins[~parallel])))
 
     ll_scores, align_scores = [], []
+    kappa = 2.0  # fixed concentration of the ranked log-likelihood
     per_class_logc = _log_vmf_coeff(dim, kappa)
     for _ in range(n_configs):
         mats = sample_uniform_sphere(dim, len(class_features), rng)
@@ -472,39 +469,39 @@ def verify_collision_bound(
 # ---------------------------------------------------------------------------
 
 def make_prototype_instance(rng: Rng, n_classes: int = 5, dim: int = 8,
-                            per_class: int = 50, kappa: float = 4.0):
+                            per_class: int = 50):
+    """`n_classes` vMF clusters (concentration 4) around uniform means."""
     means = sample_uniform_sphere(dim, n_classes, rng)
-    return [sample_vmf(VmfParams(means[c], kappa), per_class, rng)
+    return [sample_vmf(VmfParams(means[c], 4.0), per_class, rng)
             for c in range(n_classes)]
 
 
-def make_alignment_instance(rng: Rng, n_points: int = 40, dim: int = 8,
-                            n_groups: int = 5):
-    features = sample_uniform_sphere(dim, n_points, rng)
-    assignments = rng.integers(0, n_groups, size=n_points)
+def make_alignment_instance(rng: Rng):
+    """40 uniform points in R^8, 5 random groups and a tau in [0.3, 1)."""
+    features = sample_uniform_sphere(8, 40, rng)
+    assignments = rng.integers(0, 5, size=40)
     assignments[: 2] = 0  # guarantee at least one non-degenerate group
     tau = float(rng.uniform(0.3, 1.0))
     return features, assignments, tau
 
 
-def make_collision_instance(rng: Rng, n_classes: int = 5, dim: int = 6,
-                            per_class: int = 12, kappa: float = 5.0):
-    """Population with one dominant (to-be-gated) class, in the regime where
-    removing it provably lowers the collision probability."""
-    means = sample_uniform_sphere(dim, n_classes, rng)
+def make_collision_instance(rng: Rng, n_classes: int = 5, per_class: int = 12):
+    """vMF clusters (R^6, concentration 5) with one dominant (to-be-gated)
+    class: gamma >= 0.8^2, and for n_classes >= 3 no other class holds over
+    1.2 / 2.0 of the rest, so removing the dominant one provably lowers the
+    collision probability. Raises ValueError if n_classes < 3."""
+    if n_classes < 3:
+        raise ValueError(f"n_classes must be >= 3, got {n_classes}")
+    means = sample_uniform_sphere(6, n_classes, rng)
     features = np.concatenate([
-        sample_vmf(VmfParams(means[c], kappa), per_class, rng)
+        sample_vmf(VmfParams(means[c], 5.0), per_class, rng)
         for c in range(n_classes)
     ])
     class_of = np.repeat(np.arange(n_classes), per_class)
-    while True:
-        dominant = float(rng.uniform(0.8, 0.9))
-        rest = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, size=n_classes - 1)
-        rest = (1.0 - dominant) * rest / rest.sum()
-        rho = np.concatenate([[dominant], rest])
-        trimmed = rho[1:] / rho[1:].sum()
-        if float(np.sum(trimmed ** 2)) < float(np.sum(rho ** 2)):
-            break
+    dominant = float(rng.uniform(0.8, 0.9))
+    rest = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, size=n_classes - 1)
+    rest = (1.0 - dominant) * rest / rest.sum()
+    rho = np.concatenate([[dominant], rest])
     tau = float(rng.uniform(0.3, 1.0))
     return features, class_of, rho, tau, [0]
 
@@ -519,12 +516,8 @@ class VerificationSummary:
         return not self.failures
 
 
-def run_verification_suite(trials: int, seed: int, perturb: bool = False) -> VerificationSummary:
-    """Run all three oracles over independently seeded instances.
-
-    `perturb` injects one synthetic failure so callers can exercise their
-    failure handling.
-    """
+def run_verification_suite(trials: int, seed: int) -> VerificationSummary:
+    """Run all three oracles over independently seeded instances."""
     failures: list[str] = []
     for t in range(trials):
         rng = Rng(seed + t, "theory")
@@ -544,6 +537,4 @@ def run_verification_suite(trials: int, seed: int, perturb: bool = False) -> Ver
                 f"slack {rep3.min_jensen_slack:.3e}, gamma {rep3.gamma:.4f} -> "
                 f"{rep3.gamma_after_removal})"
             )
-    if perturb and trials > 0:
-        failures.append("trial 0: injected-perturbation (test hook)")
     return VerificationSummary(trials, tuple(failures))

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from opencon.core import (
-    InvalidTemperature,
     OpenConError,
     as_f64,
+    check_temperature,
     log_sum_exp,
     softmax,
     stable_sum,
@@ -64,11 +64,10 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("tau_n", "tau_l", "tau_u"):
-            if getattr(self, name) <= 0:
-                raise InvalidTemperature(f"{name} must be > 0")
+            check_temperature(getattr(self, name), name)
         for name in ("lambda_n", "lambda_l", "lambda_u", "kl_weight"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -90,7 +89,7 @@ def per_sample_loss(embeddings: np.ndarray, sets: ContrastSets,
 
     Raises:
         EmptyPositiveSet: if the positive set is empty.
-        InvalidTemperature: if tau <= 0.
+        InvalidTemperature: if tau is not finite and > 0.
     """
     align, lse = decompose_alignment(embeddings, sets, tau)
     z = as_f64(embeddings)
@@ -114,8 +113,7 @@ def decompose_alignment(embeddings: np.ndarray, sets: ContrastSets,
     alignment = -(1/|P|) sum of s/tau over positives;
     log-partition = logsumexp of s/tau over negatives.
     """
-    if tau <= 0:
-        raise InvalidTemperature(f"tau must be > 0, got {tau}")
+    check_temperature(tau)
     z = as_f64(embeddings)
     if len(sets.positives) == 0:
         raise EmptyPositiveSet(f"anchor {sets.anchor} has no positives")
@@ -160,20 +158,19 @@ def build_sets_novel(pseudo_labels: np.ndarray, anchor: int) -> ContrastSets:
     return sets
 
 
-def _masked_contrastive(z: np.ndarray, pos_mask: np.ndarray,
-                        tau: float) -> tuple[float, np.ndarray, int]:
-    """Mean anchor loss over a multi-view batch.
+def _same_key_contrastive(z: np.ndarray, keys: np.ndarray,
+                          tau: float) -> tuple[float, np.ndarray, int]:
+    """Mean anchor loss over a multi-view batch; the batched _same_key_sets.
 
-    pos_mask[a, j] marks j as a positive of anchor a; negatives are always
-    everything but the anchor. Anchors with an empty positive row contribute
-    nothing, to loss or gradient, and are left out of the mean.
+    The positives of anchor a are the other views j with keys[j] == keys[a];
+    negatives are always everything but the anchor. Anchors with no positive
+    contribute nothing, to loss or gradient, and are left out of the mean.
     Returns (loss, grad wrt z, number of contributing anchors).
     """
-    if tau <= 0:
-        raise InvalidTemperature(f"tau must be > 0, got {tau}")
+    check_temperature(tau)
     z = as_f64(z)
     n = len(z)
-    pos_mask = pos_mask & ~np.eye(n, dtype=bool)
+    pos_mask = np.equal.outer(keys, keys) & ~np.eye(n, dtype=bool)
     n_pos = pos_mask.sum(axis=1)
     contrib = n_pos > 0
     n_c = int(contrib.sum())
@@ -204,21 +201,18 @@ def _masked_contrastive(z: np.ndarray, pos_mask: np.ndarray,
 
 def loss_supcon(z: np.ndarray, labels: np.ndarray, tau: float):
     """Supervised contrastive loss over a labeled multi-view batch."""
-    labels = np.asarray(labels)
-    return _masked_contrastive(z, labels[:, None] == labels[None, :], tau)
+    return _same_key_contrastive(z, labels, tau)
 
 
 def loss_simclr(z: np.ndarray, sample_ids: np.ndarray, tau: float):
     """Self-supervised contrastive loss: the only positive is the paired view."""
-    ids = np.asarray(sample_ids)
-    return _masked_contrastive(z, ids[:, None] == ids[None, :], tau)
+    return _same_key_contrastive(z, sample_ids, tau)
 
 
 def loss_novel(z: np.ndarray, pseudo: np.ndarray, tau: float):
     """Pseudo-label contrastive loss over the gated novel views; anchors whose
     prediction is unique in the batch are skipped."""
-    pseudo = np.asarray(pseudo)
-    return _masked_contrastive(z, pseudo[:, None] == pseudo[None, :], tau)
+    return _same_key_contrastive(z, pseudo, tau)
 
 
 def kl_regularizer(z: np.ndarray, prototypes: np.ndarray, tau: float,
@@ -231,8 +225,7 @@ def kl_regularizer(z: np.ndarray, prototypes: np.ndarray, tau: float,
     Raises:
         InvalidPrior: prior does not sum to 1 or has nonpositive entries.
     """
-    if tau <= 0:
-        raise InvalidTemperature(f"tau must be > 0, got {tau}")
+    check_temperature(tau)
     z = as_f64(z)
     m = as_f64(prototypes)
     prior = as_f64(prior)
@@ -250,10 +243,6 @@ def kl_regularizer(z: np.ndarray, prototypes: np.ndarray, tau: float,
     inner = q * g[None, :] - (q @ g)[:, None] * q
     grad = inner @ m / (n * tau)
     return float(kl), grad
-
-
-def _uniform_prior(n_classes: int) -> np.ndarray:
-    return np.full(n_classes, 1.0 / n_classes)
 
 
 def _composite(z_l, labels_l, z_u, sample_ids_u, novel_rows, pseudo_novel,
@@ -281,7 +270,8 @@ def _composite(z_l, labels_l, z_u, sample_ids_u, novel_rows, pseudo_novel,
         val_n, g_n, _ = loss_novel(z_u[novel_rows], pseudo_novel, weights.tau_n)
         np.add.at(grad_u, novel_rows, weights.lambda_n * g_n)
     if weights.kl_weight > 0:
-        p = prior if prior is not None else _uniform_prior(prototypes.shape[0])
+        k = prototypes.shape[0]
+        p = prior if prior is not None else np.full(k, 1.0 / k)
         val_kl, g = kl_regularizer(z_u, prototypes, weights.tau_n, p)
         grad_u += weights.kl_weight * g
 

@@ -9,10 +9,10 @@ import numpy as np
 
 from opencon.core import (
     EmptyScores,
-    InvalidTemperature,
     OpenConError,
     Rng,
     as_f64,
+    check_temperature,
     l2_normalize,
     log_sum_exp,
     percentile_threshold,
@@ -214,11 +214,10 @@ def ood_scores(z: np.ndarray, store: PrototypeStore, variant: str = "max_cosine"
     logits at temperature tau; energy: tau * logsumexp of the known logits.
 
     Raises:
-        InvalidTemperature: if tau <= 0, for every variant.
+        InvalidTemperature: if tau is not finite and > 0, for every variant.
         UnknownVariant: for variants other than max_cosine | msp | energy.
     """
-    if tau <= 0:
-        raise InvalidTemperature(f"tau must be > 0, got {tau}")
+    check_temperature(tau)
     z2 = as_f64(z)
     single = z2.ndim == 1
     if single:

@@ -174,7 +174,6 @@ class TrainResult:
     mlp: Mlp
     store: PrototypeStore
     reports: list[EpochReport]
-    config: TrainConfig
     final_state: TrainState
 
     @property
@@ -363,7 +362,7 @@ def train(
             if rel < config.early_stop_tol:
                 break
 
-    return TrainResult(mlp, store, reports, config, snapshot(config.epochs))
+    return TrainResult(mlp, store, reports, snapshot(config.epochs))
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +377,13 @@ LOSS_COMPONENT_VARIANTS = (
 )
 
 P_SWEEP_VALUES = (0, 10, 30, 50, 70, 90)
+
+# `opencon ablate --preset` name -> the (name, overrides) variants it trains
+ABLATION_PRESETS = {
+    "loss-components": LOSS_COMPONENT_VARIANTS,
+    "p-sweep": tuple((f"p={value}", {"p": float(value)}) for value in P_SWEEP_VALUES),
+    "modified-loss": (("full", {}), ("modified", {"use_modified_loss": True})),
+}
 
 
 def variant_config(config: TrainConfig, overrides: dict) -> TrainConfig:

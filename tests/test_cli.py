@@ -4,9 +4,11 @@ import struct
 import numpy as np
 import pytest
 
+from opencon import evaluation
 from opencon.cli import main
 from opencon.core import Rng
 from opencon.data import Dataset, ingest_features, make_split, write_features
+from opencon.evaluation import AlignmentIdentityReport
 from opencon.trainer import TrainConfig, train
 
 
@@ -47,6 +49,19 @@ class TestGenData:
             main(["gen-data", "--classes", "2", "--per-class", "5",
                   "--dim", "4", "--kappa", "10"])
         assert exc.value.code == 2
+
+    def test_default_seed_is_zero(self, tmp_path):
+        outs = []
+        for tag, seed_args in (("default", []), ("zero", ["--seed", "0"])):
+            out = tmp_path / f"{tag}.ocft"
+            rc = main(["gen-data", "--classes", "3", "--per-class", "5", "--dim", "4",
+                       "--kappa", "10", "--out", str(out), "--no-timestamps", *seed_args])
+            assert rc == 0
+            sidecar = json.loads((tmp_path / f"{tag}.ocft.json").read_text())
+            del sidecar["path"]
+            outs.append((out.read_bytes(), sidecar))
+        assert outs[0] == outs[1]
+        assert outs[0][1]["seed"] == 0
 
     def test_empty_dataset_warns_but_succeeds(self, tmp_path, capsys):
         out = tmp_path / "empty.ocft"
@@ -113,6 +128,41 @@ class TestTrain:
         assert captured.err.startswith("error:")
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_eval_rejects_non_finite_tau(self, tau, data_file, tmp_path, capsys):
+        ckpt = tmp_path / "run.ockp"
+        rc = main(train_args(data_file, ["--checkpoint-out", str(ckpt),
+                                         "--metrics", str(tmp_path / "m.jsonl"),
+                                         "--summary", str(tmp_path / "s.json")]))
+        assert rc == 0
+        capsys.readouterr()
+        out = tmp_path / "eval.json"
+        rc = main(["eval", "--data", str(data_file), "--checkpoint", str(ckpt),
+                   "--seed", "2", "--tau", tau, "--out", str(out), "--no-timestamps"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_directory_paths_are_runtime_errors(self, data_file, tmp_path, capsys):
+        rc = main(["train", "--data", str(tmp_path), "--no-timestamps"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        ckpt = tmp_path / "run.ockp"
+        rc = main(train_args(data_file, ["--checkpoint-out", str(ckpt),
+                                         "--metrics", str(tmp_path / "m.jsonl"),
+                                         "--summary", str(tmp_path / "s.json")]))
+        assert rc == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        rc = main(["eval", "--data", str(data_file), "--checkpoint", str(ckpt),
+                   "--seed", "2", "--out", str(out_dir), "--no-timestamps"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(out_dir.iterdir()) == []
 
     def test_drop_flag(self, data_file, tmp_path):
         metrics = tmp_path / "m.jsonl"
@@ -266,6 +316,18 @@ class TestAblateCmd:
         assert [r["variant"] for r in payload["rows"]] == [
             "full", "no_l", "no_u", "no_n"]
 
+    def test_modified_loss_rows(self, data_file, tmp_path):
+        rows = {}
+        for preset in ("modified-loss", "loss-components"):
+            out = tmp_path / f"{preset}.json"
+            rc = main(["ablate", "--data", str(data_file), "--preset", preset,
+                       "--epochs", "2", "--b-l", "8", "--b-u", "8", "--embed-dim", "16",
+                       "--seed", "2", "--out", str(out), "--no-timestamps"])
+            assert rc == 0
+            rows[preset] = json.loads(out.read_text())["rows"]
+        assert [r["variant"] for r in rows["modified-loss"]] == ["full", "modified"]
+        assert rows["modified-loss"][0] == rows["loss-components"][0]
+
 
 class TestEstimateK:
     def test_recovers_count_with_full_label_coverage(self, data_file, tmp_path):
@@ -305,7 +367,11 @@ class TestVerify:
                    "--no-timestamps"])
         assert rc == 0
 
-    def test_perturb_exits_nonzero(self, tmp_path):
-        rc = main(["verify", "--trials", "1", "--perturb",
+    def test_perturb_exits_nonzero(self, tmp_path, monkeypatch, capsys):
+        failing = AlignmentIdentityReport(False, 1.0, (), ())
+        monkeypatch.setattr(evaluation, "verify_alignment_identity",
+                            lambda *args: failing)
+        rc = main(["verify", "--trials", "1",
                    "--out", str(tmp_path / "v.json"), "--no-timestamps"])
         assert rc == 1
+        assert "FAIL trial 0:" in capsys.readouterr().err

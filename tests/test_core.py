@@ -11,6 +11,7 @@ from opencon.core import (
     Rng,
     UnknownStream,
     VmfParams,
+    check_temperature,
     l2_normalize,
     log_sum_exp,
     percentile_threshold,
@@ -70,6 +71,14 @@ class TestSoftmax:
             softmax([1.0, 2.0], 0.0)
         with pytest.raises(InvalidTemperature):
             softmax([1.0, 2.0], -1.0)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_temperature(self, tau):
+        # NaN fails every comparison, so a bare `tau <= 0` lets it through
+        with pytest.raises(InvalidTemperature, match="tau_u must be finite"):
+            check_temperature(tau, "tau_u")
+        with pytest.raises(InvalidTemperature):
+            softmax([1.0, 2.0], tau)
 
     @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=12),
            st.integers(min_value=-1000, max_value=1000))
@@ -207,6 +216,12 @@ class TestVmf:
             VmfParams(np.array([1.0, 1.0]), 1.0)
         with pytest.raises(ValueError):
             VmfParams(np.array([1.0, 0.0]), -1.0)
+
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf")])
+    def test_non_finite_kappa_rejected(self, kappa):
+        # the radial rejection sampler would never accept a draw
+        with pytest.raises(ValueError, match="kappa"):
+            VmfParams(np.array([1.0, 0.0]), kappa)
 
     def test_zero_count(self):
         mu = np.zeros(4)

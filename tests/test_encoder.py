@@ -189,6 +189,12 @@ class TestOptimizer:
             runs.append(flat_params(mlp))
         np.testing.assert_array_equal(runs[0], runs[1])
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected(self, lr):
+        mlp = Mlp.init(3, 4, 2, Rng(17, "init"))
+        with pytest.raises(ValueError, match="lr"):
+            Optimizer(OptimizerConfig(lr=lr), mlp)
+
     def test_shape_mismatch(self):
         mlp = Mlp.init(3, 4, 2, Rng(16, "init"))
         opt = Optimizer(OptimizerConfig(total_epochs=5), mlp)

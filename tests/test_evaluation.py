@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opencon import evaluation
 from opencon.core import Rng, VmfParams, l2_normalize, sample_uniform_sphere, sample_vmf
 from opencon.evaluation import (
+    AlignmentIdentityReport,
     EmptyEvaluationSet,
     _matched_accuracy,
     accuracy_triple,
@@ -354,6 +356,12 @@ class TestCollisionBound:
             assert report.min_jensen_slack >= -1e-12
             assert report.identity_error <= 1e-9
 
+    def test_two_classes_rejected(self):
+        # two classes leave a trimmed collision probability of 1, which no
+        # draw can push below gamma
+        with pytest.raises(ValueError, match="n_classes"):
+            make_collision_instance(Rng(13, "theory"), n_classes=2)
+
 
 class TestSuite:
     def test_small_suite_passes(self):
@@ -369,6 +377,10 @@ class TestSuite:
         summary = run_verification_suite(trials=0, seed=0)
         assert summary.passed
 
-    def test_perturb_injects_failure(self):
-        summary = run_verification_suite(trials=1, seed=0, perturb=True)
+    def test_perturb_injects_failure(self, monkeypatch):
+        failing = AlignmentIdentityReport(False, 1.0, (), ())
+        monkeypatch.setattr(evaluation, "verify_alignment_identity",
+                            lambda *args: failing)
+        summary = run_verification_suite(trials=1, seed=0)
         assert not summary.passed
+        assert any(f.startswith("trial 0:") for f in summary.failures)

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from opencon.core import Rng
-from opencon.data import Dataset, generate_synthetic, make_split
+from opencon.core import InvalidTemperature, Rng
+from opencon.data import AugmentConfig, Dataset, generate_synthetic, make_split
+from opencon.encoder import OptimizerConfig
+from opencon.objective import LossWeights
 from opencon.trainer import (
     Corrupt,
     TrainConfig,
@@ -129,6 +131,23 @@ class TestTrainLoop:
         # patience 0 would compare each epoch's loss with itself and stop at once
         with pytest.raises(ValueError, match="early_stop_patience"):
             tiny_config(early_stop=True, early_stop_patience=patience)
+
+    def test_non_finite_settings_rejected(self):
+        with pytest.raises(InvalidTemperature, match="tau_u"):
+            TrainConfig(tau_u=float("inf"))
+        with pytest.raises(ValueError, match="lambda_n"):
+            TrainConfig(lambda_n=float("nan"))
+
+    def test_defaults_match_the_configs_they_feed(self):
+        # TrainConfig repeats these defaults; the two copies must agree
+        config = TrainConfig()
+        assert config.weights == LossWeights()
+        opt = OptimizerConfig()
+        assert (config.lr, config.momentum, config.weight_decay, config.lr_decay,
+                config.milestones) == (opt.lr, opt.momentum, opt.weight_decay,
+                                       opt.decay_factor, opt.milestones)
+        assert (config.epochs, config.aug_sigma, config.aug_p_mask) == (
+            opt.total_epochs, AugmentConfig().sigma, AugmentConfig().p_mask)
 
     def test_warm_start_flag_changes_run(self):
         split = tiny_split()
