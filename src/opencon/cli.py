@@ -10,27 +10,32 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 
-import numpy as np
+# One BLAS/OpenMP thread unless the environment sets a count: on a few cores
+# more threads only add CPU time. This must run before NumPy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from opencon.core import OpenConError, Rng, l2_normalize
-from opencon.data import (
+import numpy as np  # noqa: E402
+
+from opencon.core import OpenConError, Rng, l2_normalize  # noqa: E402
+from opencon.data import (  # noqa: E402
     generate_synthetic,
     ingest_features,
     make_split,
     open_atomic,
     write_features,
 )
-from opencon.encoder import forward
-from opencon.evaluation import (
+from opencon.encoder import forward  # noqa: E402
+from opencon.evaluation import (  # noqa: E402
     converged_cluster_count,
     estimate_class_number,
     run_verification_suite,
 )
-from opencon.prototype import pseudo_labels
-from opencon.trainer import (
+from opencon.trainer import (  # noqa: E402
     ABLATION_PRESETS,
     TrainConfig,
     ablate,

@@ -242,6 +242,13 @@ class AugmentConfig:
     sigma: float = 0.1
     p_mask: float = 0.1
 
+    def __post_init__(self):
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(
+                f"augmentation sigma must be finite and >= 0, got {self.sigma}")
+        if not 0.0 <= self.p_mask < 1.0:
+            raise ValueError(f"augmentation p_mask must lie in [0, 1), got {self.p_mask}")
+
 
 def augment(x: np.ndarray, rng: Rng, cfg: AugmentConfig) -> np.ndarray:
     """One stochastic view of `x` (vector or row stack): add noise, then zero

@@ -141,6 +141,21 @@ class OptimizerConfig:
     milestones: tuple[float, ...] = (0.5, 0.75)  # fractions of total epochs
     total_epochs: int = 100
 
+    def __post_init__(self):
+        # chained comparisons, so that NaN fails every check
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be finite and > 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        if not 0 < self.decay_factor < np.inf:
+            raise ValueError(
+                f"lr decay factor must be finite and > 0, got {self.decay_factor}")
+        if list(self.milestones) != sorted(set(self.milestones)):
+            raise ValueError("milestones must be strictly increasing")
+
 
 class Optimizer:
     """SGD with momentum: v <- momentum*v + g + wd*theta; theta <- theta - lr*v.
@@ -151,10 +166,6 @@ class Optimizer:
     """
 
     def __init__(self, cfg: OptimizerConfig, mlp: Mlp):
-        if not 0 < cfg.lr < np.inf:
-            raise ValueError("lr must be finite and > 0")
-        if list(cfg.milestones) != sorted(set(cfg.milestones)):
-            raise ValueError("milestones must be strictly increasing")
         self.cfg = cfg
         self.velocity = Grads.zeros_like(mlp)
         self._milestone_epochs = [int(np.floor(f * cfg.total_epochs)) for f in cfg.milestones]

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import ive
 
 from opencon.core import (
     OpenConError,
@@ -40,9 +38,83 @@ class AccuracyTriple:
     seen: float
 
 
+def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost matching of min(n, m) rows to distinct columns.
+
+    Shortest augmenting paths with dual potentials in the rectangular form of
+    Crouse 2016 ("On implementing 2D rectangular assignment algorithms", IEEE
+    TAES 52(4)), after Jonker & Volgenant 1987. Returns (rows, cols) sorted by
+    row, as `scipy.optimize.linear_sum_assignment` does; among equal-cost
+    optima which one comes back is unspecified.
+
+    Raises:
+        ValueError: if `cost` is not 2-D or holds a non-finite entry.
+    """
+    cost = as_f64(cost)
+    if cost.ndim != 2:
+        raise ValueError("cost must be a 2-D matrix")
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("cost entries must be finite")
+    tall = cost.shape[0] > cost.shape[1]
+    if tall:
+        cost = np.ascontiguousarray(cost.T)
+    n, m = cost.shape
+    u, v = np.zeros(n), np.zeros(m)
+    col4row = np.full(n, -1, np.int64)
+    row4col = np.full(m, -1, np.int64)
+    free = np.ones(m, bool)
+    path = np.empty(m, np.int64)
+    dist, settled = np.empty(m), np.empty(m)
+    unsettled = np.empty(m, bool)
+    for cur in range(n):
+        # Dijkstra over reduced costs from row `cur` to the nearest free
+        # column; a settled column leaves `dist` and keeps its distance in
+        # `settled`
+        dist.fill(np.inf)
+        unsettled.fill(True)
+        visited = []
+        i, reach = cur, 0.0
+        while True:
+            visited.append(i)
+            through = cost[i] - v
+            through += reach - u[i]
+            closer = through < dist
+            closer &= unsettled
+            np.copyto(dist, through, where=closer)
+            np.copyto(path, i, where=closer)
+            j = int(dist.argmin())
+            reach = float(dist[j])
+            if not free[j]:
+                # among tied columns take a free one: it ends the search, which
+                # matters for integer costs with many ties
+                ties = np.flatnonzero((dist == reach) & free)
+                if ties.size:
+                    j = int(ties[0])
+            unsettled[j] = False
+            settled[j] = reach
+            dist[j] = np.inf
+            if free[j]:
+                break
+            i = int(row4col[j])
+        u[cur] += reach
+        others = np.array(visited[1:], np.int64)
+        u[others] += reach - settled[col4row[others]]
+        done = ~unsettled
+        v[done] -= reach - settled[done]
+        free[j] = False
+        while True:  # flip the matching along the path back to `cur`
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if tall:
+        order = np.argsort(col4row)
+        return col4row[order], order.astype(np.int64)
+    return np.arange(n, dtype=np.int64), col4row
+
+
 def _optimal_cost(cost: np.ndarray) -> float:
-    if cost.size == 0:
-        return 0.0
     r, c = linear_sum_assignment(cost)
     return float(cost[r, c].sum())
 
@@ -58,15 +130,13 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     cost = as_f64(cost)
     if cost.ndim != 2:
         raise ValueError("cost must be a 2-D matrix")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost entries must be finite")
     n, m = cost.shape
     if n == 0:
         return np.zeros(0, np.int64)
     k = max(n, m)
     padded = np.zeros((k, k))
     padded[:n, :m] = cost
-    best = _optimal_cost(padded)
+    best = _optimal_cost(padded)  # raises on a non-finite entry
     tol = 1e-9 * max(1.0, abs(best))
     assign = np.full(n, -1, np.int64)
     avail = np.ones(k, dtype=bool)
@@ -253,6 +323,9 @@ def estimate_class_number(
 # ---------------------------------------------------------------------------
 
 def _log_vmf_coeff(dim: int, kappa: float) -> float:
+    # imported here so that only the verification suite loads SciPy
+    from scipy.special import ive
+
     nu = dim / 2.0 - 1.0
     return nu * np.log(kappa) - (dim / 2.0) * np.log(2.0 * np.pi) \
         - (np.log(ive(nu, kappa)) + kappa)

@@ -120,12 +120,26 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
-        self.weights  # validate temperatures/coefficients eagerly
+        if not 0.0 <= self.early_stop_tol < np.inf:
+            raise ValueError(
+                f"early_stop_tol must be finite and >= 0, got {self.early_stop_tol}")
+        # the sub-configs check their own fields; build them eagerly
+        self.weights, self.optimizer_config, self.augment_config
 
     @property
     def weights(self) -> LossWeights:
         return LossWeights(self.lambda_n, self.tau_n, self.lambda_l, self.tau_l,
                            self.lambda_u, self.tau_u, self.kl_weight)
+
+    @property
+    def optimizer_config(self) -> OptimizerConfig:
+        return OptimizerConfig(lr=self.lr, momentum=self.momentum,
+                               weight_decay=self.weight_decay, decay_factor=self.lr_decay,
+                               milestones=self.milestones, total_epochs=self.epochs)
+
+    @property
+    def augment_config(self) -> AugmentConfig:
+        return AugmentConfig(self.aug_sigma, self.aug_p_mask)
 
 
 def json_clean(value):
@@ -253,10 +267,7 @@ def train(
         mlp = Mlp.init(m, h, d, rngs["init"])
         store = init_prototypes(n_protos, d, rngs["init"], n_known)
         first_epoch = 0
-    optimizer = Optimizer(OptimizerConfig(
-        lr=config.lr, momentum=config.momentum, weight_decay=config.weight_decay,
-        decay_factor=config.lr_decay, milestones=config.milestones,
-        total_epochs=config.epochs), mlp)
+    optimizer = Optimizer(config.optimizer_config, mlp)
     if start_state is not None:
         optimizer.velocity = Grads(*dataclasses.astuple(start_state.velocity))
 
@@ -265,7 +276,7 @@ def train(
                           {name: rng.state_words() for name, rng in rngs.items()})
 
     sampler = BatchSampler(split, config.b_l, config.b_u, rngs["data"], rngs["augment"],
-                           AugmentConfig(config.aug_sigma, config.aug_p_mask))
+                           config.augment_config)
     weights = config.weights
     drops = {"drop_l": config.drop_l, "drop_u": config.drop_u, "drop_n": config.drop_n}
     labeled_y = split.labeled_labels()

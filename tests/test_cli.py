@@ -284,13 +284,25 @@ class TestTrain:
         lambda data, cfg: train_args(data, ["--lr", "-1"]),
         lambda data, cfg: train_args(data, ["--config", str(cfg)]),
         lambda data, cfg: ["estimate-k", "--data", str(data), "--range", "abc"],
-    ], ids=["p-out-of-range", "negative-lr", "config-not-an-int", "range-not-ints"])
+        lambda data, cfg: train_args(data, ["--momentum", "nan"]),
+        lambda data, cfg: train_args(data, ["--aug-sigma", "inf"]),
+        lambda data, cfg: train_args(data, ["--weight-decay", "-1"]),
+        lambda data, cfg: train_args(data, ["--lr-decay", "nan"]),
+        lambda data, cfg: train_args(data, ["--aug-p-mask", "1.0"]),
+        lambda data, cfg: train_args(data, ["--early-stop-tol", "inf"]),
+    ], ids=["p-out-of-range", "negative-lr", "config-not-an-int", "range-not-ints",
+            "momentum-nan", "aug-sigma-inf", "negative-weight-decay", "lr-decay-nan",
+            "aug-p-mask-one", "early-stop-tol-inf"])
     def test_bad_value_is_runtime_error(self, argv, data_file, tmp_path, capsys):
+        # rejected before training: an error line and no metric line
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("epochs = abc\n")
         rc = main(argv(data_file, cfg))
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "diagnostic" not in captured.err
+        assert captured.out == ""
 
 
 class TestAblateCmd:

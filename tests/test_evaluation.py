@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from opencon import evaluation
 from opencon.core import Rng, VmfParams, l2_normalize, sample_uniform_sphere, sample_vmf
@@ -15,6 +17,7 @@ from opencon.evaluation import (
     converged_cluster_count,
     estimate_class_number,
     hungarian,
+    linear_sum_assignment,
     make_alignment_instance,
     make_collision_instance,
     make_prototype_instance,
@@ -37,6 +40,60 @@ def brute_force_assignment(cost):
         ):
             best_cost, best_perm = total, perm
     return np.array(best_perm), best_cost
+
+
+@st.composite
+def assignment_costs(draw):
+    """Rectangular cost matrices, empty and single-row/column shapes included:
+    floats, small integers (many ties), one repeated value, and negated
+    counts with the pin penalty rows `_matched_accuracy` builds."""
+    n, m = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["float", "int", "tied", "pinned"]))
+    if kind == "float":
+        return draw(arrays(np.float64, (n, m),
+                           elements=st.floats(-1e3, 1e3, allow_nan=False)))
+    if kind == "tied":
+        return np.full((n, m), draw(st.floats(-1e3, 1e3, allow_nan=False)))
+    counts = draw(arrays(np.int64, (n, m), elements=st.integers(0, 6))).astype(float)
+    if kind == "int":
+        return counts - 3.0
+    cost = -counts
+    if n and m:
+        big = counts.sum() + 1.0
+        for row in draw(st.sets(st.integers(0, n - 1))):
+            cost[row] = big
+            col = draw(st.integers(0, m - 1))
+            cost[row, col] = -counts[row, col]
+    return cost
+
+
+class TestLinearSumAssignment:
+    """The in-repo solver against SciPy, used here as an oracle only."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(assignment_costs())
+    def test_matches_scipy_optimum(self, cost):
+        rows, cols = linear_sum_assignment(cost)
+        n, m = cost.shape
+        assert len(rows) == len(cols) == min(n, m)
+        assert len(set(rows.tolist())) == len(rows)
+        assert len(set(cols.tolist())) == len(cols)
+        assert np.all(np.diff(rows) > 0)
+        assert np.all((0 <= cols) & (cols < m)) and np.all((0 <= rows) & (rows < n))
+        ref_rows, ref_cols = scipy.optimize.linear_sum_assignment(cost)
+        assert cost[rows, cols].sum() == pytest.approx(cost[ref_rows, ref_cols].sum(),
+                                                       abs=1e-9, rel=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite(self, bad):
+        cost = np.zeros((2, 3))
+        cost[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            linear_sum_assignment(cost)
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError):
+            linear_sum_assignment(np.zeros(3))
 
 
 class TestHungarian:

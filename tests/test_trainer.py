@@ -138,6 +138,29 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="lambda_n"):
             TrainConfig(lambda_n=float("nan"))
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("momentum", float("nan"), "momentum"),
+        ("momentum", 1.0, "momentum"),
+        ("momentum", -0.1, "momentum"),
+        ("weight_decay", float("inf"), "weight_decay"),
+        ("weight_decay", -1e-4, "weight_decay"),
+        ("lr_decay", float("nan"), "decay factor"),
+        ("lr_decay", 0.0, "decay factor"),
+        ("aug_sigma", float("inf"), "sigma"),
+        ("aug_sigma", -0.1, "sigma"),
+        ("aug_p_mask", float("nan"), "p_mask"),
+        ("aug_p_mask", 1.0, "p_mask"),
+        ("early_stop_tol", float("nan"), "early_stop_tol"),
+        ("early_stop_tol", -1.0, "early_stop_tol"),
+    ])
+    def test_out_of_range_floats_rejected(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(**{field: value})
+
+    def test_range_edges_accepted(self):
+        TrainConfig(momentum=0.0, weight_decay=0.0, aug_sigma=0.0, aug_p_mask=0.0,
+                    early_stop_tol=0.0)
+
     def test_defaults_match_the_configs_they_feed(self):
         # TrainConfig repeats these defaults; the two copies must agree
         config = TrainConfig()
