@@ -97,7 +97,11 @@ def _emit_json(payload: dict, out_path, no_timestamps: bool) -> None:
     if not no_timestamps:
         payload = dict(payload)
         payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _emit_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
+
+
+def _emit_text(text: str, out_path) -> None:
+    """Write `text` to `out_path` atomically, or to stdout without a path."""
     if out_path:
         with open_atomic(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -157,27 +161,16 @@ def _detection_json(mlp, store, split, tau: float) -> dict:
             for variant, m in detection_report(mlp, store, split, tau).items()}
 
 
-def _metrics_sink(path):
-    if path:
-        return open(path, "w", encoding="utf-8")
-    return sys.stdout
-
-
 def cmd_train(args) -> int:
     config = build_train_config(args)
     split = _load_split(args, config.seed)
     start_state = checkpoint_load(args.resume) if args.resume else None
 
-    sink = _metrics_sink(args.metrics)
-    try:
-        result = train(config, split, start_state=start_state,
-                       checkpoint_path=args.checkpoint_out,
-                       checkpoint_every=args.checkpoint_every)
-        for report in result.reports:
-            sink.write(json.dumps(report.as_dict(), sort_keys=True) + "\n")
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+    result = train(config, split, start_state=start_state,
+                   checkpoint_path=args.checkpoint_out,
+                   checkpoint_every=args.checkpoint_every)
+    _emit_text("".join(json.dumps(report.as_dict(), sort_keys=True) + "\n"
+                       for report in result.reports), args.metrics)
 
     if args.checkpoint_out:
         checkpoint_save(args.checkpoint_out, result.final_state)

@@ -57,8 +57,9 @@ def l2_normalize(v) -> np.ndarray:
         DegenerateVector: if any row norm is <= EPS_NORM.
     """
     v = as_f64(v)
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
-    if np.any(norms <= EPS_NORM):
+    # what np.linalg.norm(v, axis=-1) computes, without its Python dispatch
+    norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    if (norms <= EPS_NORM).any():
         raise DegenerateVector(f"norm {float(norms.min()):.3e} <= {EPS_NORM:.1e}")
     return v / norms
 

@@ -143,7 +143,9 @@ def update_prototypes(
     Labeled views go first, then novel views. The update is order-sensitive
     per row: each row sees its views in ascending view index. Labeled views
     of different classes touch different rows and commute, so step j moves
-    the row of every class that has a j-th labeled view at once.
+    the row of every class that has a j-th labeled view at once. The labeled
+    classes are laid out by descending view count (ties by class id) in one
+    working copy of their rows, so step j moves a prefix of it.
 
     Raises:
         ValueError: if gamma is outside [0, 1), or the labels do not match
@@ -164,27 +166,35 @@ def update_prototypes(
         raise OpenConError("gated novel views need at least one novel prototype row")
     matrix = store.matrix
 
-    # rank of each view among its class's views; step j takes rank j of every
-    # class, in class order, so no row appears twice in one step
+    # rank j of each view among its class's views; with the classes in
+    # descending count order, step j moves the first n_j rows of `work`, the
+    # n_j classes that have a j-th view, and no row twice
     order = np.argsort(labeled_y, kind="stable")
     sorted_y = labeled_y[order]
     rank = np.arange(len(order)) - np.searchsorted(sorted_y, sorted_y)
-    by_step = order[np.argsort(rank, kind="stable")]
-    sizes = np.bincount(rank)
-    ends = np.cumsum(sizes)
-    for start, end in zip(ends - sizes, ends):
-        sel = by_step[start:end]
-        c = labeled_y[sel]
-        matrix[c] = l2_normalize(gamma * matrix[c] + (1.0 - gamma) * labeled_z[sel])
+    per_class = np.bincount(labeled_y)
+    classes = np.flatnonzero(per_class)
+    classes = classes[np.argsort(-per_class[classes], kind="stable")]
+    slot = np.empty(len(per_class), np.int64)
+    slot[classes] = np.arange(len(classes))
+    pulls = (1.0 - gamma) * labeled_z[order[np.lexsort((slot[sorted_y], rank))]]
+    work = matrix[classes]
+    start = 0
+    for size in np.bincount(rank).tolist():
+        work[:size] = l2_normalize(gamma * work[:size] + pulls[start:start + size])
+        start += size
+    matrix[classes] = work
 
     # a gated novel view's row is the closest novel row at its step
     novel = matrix[novel_ids]
+    novel_t = novel.T
     picks = np.empty(len(novel_z), np.int64)
-    for i, z in enumerate(novel_z):
-        k = picks[i] = np.argmax(z[None, :] @ novel.T)
-        novel[k] = l2_normalize(gamma * novel[k] + (1.0 - gamma) * z)
+    for i, (z, pull) in enumerate(zip(novel_z, (1.0 - gamma) * novel_z)):
+        k = picks[i] = (z[None, :] @ novel_t).argmax()
+        novel[k] = l2_normalize(gamma * novel[k] + pull)
     matrix[novel_ids] = novel
-    np.add.at(store.assignment_counts, np.concatenate([labeled_y, novel_ids[picks]]), 1)
+    store.assignment_counts += np.bincount(
+        np.concatenate([labeled_y, novel_ids[picks]]), minlength=store.n_classes)
     return store
 
 

@@ -234,8 +234,11 @@ def train(
     report per epoch.
 
     Raises:
+        ValueError: if checkpoint_every is given and < 1.
         TrainingDiverged: on the first non-finite loss, with diagnostics.
     """
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     m = split.dim
     h = config.hidden_dim or 2 * m
     d = config.embed_dim

@@ -233,7 +233,29 @@ class TestTrain:
         rc = main(train_args(data_file, ["--b-u", "-5", "--metrics", str(metrics)]))
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
-        assert not metrics.read_text()
+        assert not metrics.exists()
+
+    def test_rejected_run_keeps_existing_metrics(self, data_file, tmp_path, capsys):
+        # three known classes and three prototypes leave no novel row
+        metrics = tmp_path / "m.jsonl"
+        metrics.write_bytes(b'{"epoch": 0}\n')
+        rc = main(train_args(data_file, ["--n-prototypes", "3",
+                                         "--metrics", str(metrics)]))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: n_prototypes")
+        assert metrics.read_bytes() == b'{"epoch": 0}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["m.jsonl"]
+
+    @pytest.mark.parametrize("every", ["0", "-1"])
+    def test_checkpoint_every_below_one_is_runtime_error(self, every, data_file,
+                                                         tmp_path, capsys):
+        ckpt = tmp_path / "c.ockp"
+        rc = main(train_args(data_file, ["--checkpoint-out", str(ckpt),
+                                         "--checkpoint-every", every,
+                                         "--metrics", str(tmp_path / "m.jsonl")]))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: checkpoint_every")
+        assert list(tmp_path.iterdir()) == []
 
     def test_full_label_ratio_has_empty_detection(self, data_file, tmp_path):
         # every known sample is labeled: no in-distribution unlabeled scores

@@ -51,6 +51,31 @@ class TestNormalize:
         np.testing.assert_allclose(twice, once, atol=1e-12)
 
 
+@st.composite
+def normalize_inputs(draw):
+    # d > 8 reaches NumPy's unrolled pairwise sum; the lattice makes ties
+    d = draw(st.integers(1, 40))
+    shape = (d,) if draw(st.booleans()) else (draw(st.integers(1, 6)), d)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        v = rng.integers(-3, 4, size=shape).astype(float)
+        v[..., 0] += ~v.any(axis=-1)
+        return v
+    return rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 1e3])), size=shape)
+
+
+class TestNormalizeBits:
+    @settings(max_examples=300, deadline=None)
+    @given(normalize_inputs())
+    def test_equals_linalg_norm(self, v):
+        expect = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        assert l2_normalize(v).tobytes() == expect.tobytes()
+
+    def test_zero_row_raises(self):
+        with pytest.raises(DegenerateVector):
+            l2_normalize(np.array([[3.0, 4.0], [0.0, 0.0]]))
+
+
 class TestSoftmax:
     def test_hand_value(self):
         out = softmax(np.array([1.0, 0.0]), 1.0)

@@ -236,6 +236,50 @@ class TestUpdate:
         np.testing.assert_array_equal(store.assignment_counts,
                                       expect.assignment_counts)
 
+    @staticmethod
+    def check_against_reference(store, labeled_z, labeled_y, novel_z, gamma=0.9):
+        expect = per_view_update(store.copy(), labeled_z, labeled_y, novel_z, gamma)
+        update_prototypes(store, labeled_z, labeled_y, novel_z, gamma)
+        assert store.matrix.tobytes() == expect.matrix.tobytes()
+        assert store.assignment_counts.dtype == np.int64
+        np.testing.assert_array_equal(store.assignment_counts,
+                                      expect.assignment_counts)
+
+    @staticmethod
+    def units(seed, n, d=5):
+        return l2_normalize(np.random.default_rng(seed).normal(size=(n, d)))
+
+    def test_tied_view_counts(self):
+        # classes 3 and 1 tie on three views, class 0 has one: the prefix
+        # layout orders them 1, 3, 0
+        store = PrototypeStore(self.units(0, 5), np.arange(4), np.array([4]))
+        labels = np.array([3, 1, 0, 1, 3, 3, 1])
+        self.check_against_reference(store, self.units(1, 7), labels,
+                                     self.units(2, 3))
+
+    def test_known_class_without_labeled_view(self):
+        store = PrototypeStore(self.units(3, 6), np.arange(4), np.arange(4, 6))
+        before = store.matrix[2].copy()
+        labels = np.array([0, 3, 0, 1, 3, 0])
+        self.check_against_reference(store, self.units(4, 6), labels,
+                                     self.units(5, 4))
+        assert store.matrix[2].tobytes() == before.tobytes()
+        assert store.assignment_counts[2] == 0
+
+    def test_labeled_view_on_novel_row(self):
+        # the labeled step on novel row 3 lands before the novel views pick
+        store = PrototypeStore(self.units(6, 4), np.arange(2), np.arange(2, 4))
+        labels = np.array([3, 0, 3, 1, 3])
+        self.check_against_reference(store, self.units(7, 5), labels,
+                                     self.units(8, 6))
+
+    def test_shuffled_partition(self):
+        store = PrototypeStore(self.units(9, 6), np.array([1, 4, 5]),
+                               np.array([0, 2, 3]))
+        labels = np.array([5, 4, 5, 1, 5, 4, 2])
+        self.check_against_reference(store, self.units(10, 7), labels,
+                                     self.units(11, 5))
+
     def test_hand_arithmetic(self):
         store = identity_store(n_known=1)
         update_prototypes(store, np.stack([E2]), np.array([0]),

@@ -302,6 +302,14 @@ class TestCheckpoint:
         with pytest.raises(VersionMismatch):
             checkpoint_load(path)
 
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_checkpoint_every_below_one_rejected(self, every, tmp_path):
+        path = tmp_path / "c.ockp"
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            train(tiny_config(), tiny_split(), checkpoint_path=path,
+                  checkpoint_every=every)
+        assert not path.exists()
+
     def test_dimension_mismatch_on_resume(self, tmp_path):
         split = tiny_split()
         cfg = tiny_config(epochs=6)
