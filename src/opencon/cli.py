@@ -42,7 +42,7 @@ from opencon.trainer import (  # noqa: E402
     checkpoint_load,
     checkpoint_save,
     detection_report,
-    evaluate_model,
+    evaluate_and_detect,
     json_clean,
     train,
 )
@@ -156,9 +156,9 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _detection_json(mlp, store, split, tau: float) -> dict:
+def _detection_json(report: dict) -> dict:
     return {variant: {"auroc": m.auroc, "fpr95": m.fpr95}
-            for variant, m in detection_report(mlp, store, split, tau).items()}
+            for variant, m in report.items()}
 
 
 def cmd_train(args) -> int:
@@ -183,7 +183,8 @@ def cmd_train(args) -> int:
                      "seen": final.acc_seen},
         "converged_prototypes": final.active_prototypes,
         "final_loss": final.loss_total,
-        "detection": _detection_json(result.mlp, result.store, split, config.tau_n),
+        "detection": _detection_json(
+            detection_report(result.mlp, result.store, split, config.tau_n)),
     }
     _emit_json(summary, args.summary, args.no_timestamps)
     print(f"final accuracy all/novel/seen = "
@@ -195,11 +196,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     split = _load_split(args, args.seed)
     state = checkpoint_load(args.checkpoint)
-    triple, _ = evaluate_model(state.mlp, state.store, split)
+    triple, detection = evaluate_and_detect(state.mlp, state.store, split, args.tau)
     payload = {
         "accuracy": dataclasses.asdict(triple),
         "converged_prototypes": converged_cluster_count(state.store),
-        "detection": _detection_json(state.mlp, state.store, split, args.tau),
+        "detection": _detection_json(detection),
     }
     _emit_json(payload, args.out, args.no_timestamps)
     return 0

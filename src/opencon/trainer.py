@@ -195,16 +195,54 @@ class TrainResult:
         return self.reports[-1]
 
 
+# Rows of the unlabeled pool that evaluation embeds at a time: the pass's
+# temporaries scale with this block, never with the pool.
+EVAL_BLOCK_ROWS = 256
+
+
+def _pool_pass(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bool,
+               tau: float | None) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
+    """Embed the unlabeled pool once, EVAL_BLOCK_ROWS rows at a time, keeping
+    per row only the predicted class (if `predict`) and, when `tau` is given,
+    the score of every detection variant."""
+    rows = split.unlabeled_idx
+    n = len(rows)
+    preds = np.empty(n, np.int64) if predict else None
+    scores = {variant: np.empty(n) for variant in SCORE_VARIANTS} if tau is not None else {}
+    for start in range(0, n, EVAL_BLOCK_ROWS):
+        block = slice(start, start + EVAL_BLOCK_ROWS)
+        z, _ = forward(mlp, split.features[rows[block]])
+        if preds is not None:
+            preds[block] = pseudo_labels(z, store)
+        for variant, out in scores.items():
+            out[block] = ood_scores(z, store, variant, tau)
+    return preds, scores
+
+
+def _accuracy(preds: np.ndarray, store: PrototypeStore, split: SplitDataset) -> AccuracyTriple:
+    return accuracy_triple(preds, split.unlabeled_true_labels(), split.known_classes,
+                           split.novel_classes, store.n_classes)
+
+
+def _known_mask(split: SplitDataset) -> np.ndarray | None:
+    """Which unlabeled rows are true-known, or None when the pool lacks
+    either side and detection has nothing to separate."""
+    is_known = np.isin(split.unlabeled_true_labels(), split.known_classes)
+    return None if is_known.all() or not is_known.any() else is_known
+
+
+def _detections(scores: dict[str, np.ndarray],
+                is_known: np.ndarray) -> dict[str, DetectionMetrics]:
+    return {variant: detection_metrics(s[is_known], s[~is_known])
+            for variant, s in scores.items()}
+
+
 def evaluate_model(mlp: Mlp, store: PrototypeStore,
                    split: SplitDataset) -> tuple[AccuracyTriple, np.ndarray]:
     """Transductive accuracy triple on the unlabeled pool: predict by best
     prototype over all classes, then score with optimal assignment."""
-    z, _ = forward(mlp, split.unlabeled_features())
-    preds = pseudo_labels(z, store)
-    triple = accuracy_triple(preds, split.unlabeled_true_labels(),
-                             split.known_classes, split.novel_classes,
-                             store.n_classes)
-    return triple, preds
+    preds, _ = _pool_pass(mlp, store, split, predict=True, tau=None)
+    return _accuracy(preds, store, split), preds
 
 
 def detection_report(mlp: Mlp, store: PrototypeStore, split: SplitDataset,
@@ -212,15 +250,22 @@ def detection_report(mlp: Mlp, store: PrototypeStore, split: SplitDataset,
     """Known-vs-novel separation on the unlabeled pool for every score
     variant (true-known unlabeled samples are in-distribution). Empty when
     the pool lacks either side, e.g. when every known sample is labeled."""
-    is_known = np.isin(split.unlabeled_true_labels(), split.known_classes)
-    if is_known.all() or not is_known.any():
+    is_known = _known_mask(split)
+    if is_known is None:
         return {}
-    z, _ = forward(mlp, split.unlabeled_features())
-    out = {}
-    for variant in SCORE_VARIANTS:
-        scores = ood_scores(z, store, variant, tau)
-        out[variant] = detection_metrics(scores[is_known], scores[~is_known])
-    return out
+    _, scores = _pool_pass(mlp, store, split, predict=False, tau=tau)
+    return _detections(scores, is_known)
+
+
+def evaluate_and_detect(mlp: Mlp, store: PrototypeStore, split: SplitDataset,
+                        tau: float) -> tuple[AccuracyTriple, dict[str, DetectionMetrics]]:
+    """`evaluate_model`'s triple and `detection_report`'s metrics from one
+    pass that embeds each unlabeled row once."""
+    is_known = _known_mask(split)
+    if is_known is None:
+        return evaluate_model(mlp, store, split)[0], {}
+    preds, scores = _pool_pass(mlp, store, split, predict=True, tau=tau)
+    return _accuracy(preds, store, split), _detections(scores, is_known)
 
 
 def train(
@@ -234,11 +279,15 @@ def train(
     report per epoch.
 
     Raises:
-        ValueError: if checkpoint_every is given and < 1.
+        ValueError: if checkpoint_every is given and < 1, or without a
+            checkpoint_path.
         TrainingDiverged: on the first non-finite loss, with diagnostics.
     """
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    if checkpoint_every is not None:
+        if checkpoint_every < 1:
+            raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+        if checkpoint_path is None:
+            raise ValueError("checkpoint_every needs a checkpoint path to write to")
     m = split.dim
     h = config.hidden_dim or 2 * m
     d = config.embed_dim
@@ -366,9 +415,8 @@ def train(
             active_prototypes=converged_cluster_count(store),
         ))
 
-        if checkpoint_path is not None and checkpoint_every:
-            if (epoch + 1) % checkpoint_every == 0 and not is_last:
-                checkpoint_save(checkpoint_path, snapshot(epoch + 1))
+        if checkpoint_every and (epoch + 1) % checkpoint_every == 0 and not is_last:
+            checkpoint_save(checkpoint_path, snapshot(epoch + 1))
 
         if config.early_stop and len(reports) > config.early_stop_patience:
             prev = reports[-1 - config.early_stop_patience].loss_total

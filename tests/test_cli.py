@@ -1,10 +1,15 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opencon import evaluation
+import opencon
+from opencon import evaluation, trainer
 from opencon.cli import main
 from opencon.core import Rng
 from opencon.data import Dataset, ingest_features, make_split, write_features
@@ -257,6 +262,39 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: checkpoint_every")
         assert list(tmp_path.iterdir()) == []
 
+    def test_checkpoint_every_without_checkpoint_out_is_runtime_error(
+            self, data_file, tmp_path, capsys):
+        # periodic checkpoints with nowhere to write them are rejected before
+        # training instead of silently writing nothing
+        rc = main(train_args(data_file, ["--checkpoint-every", "1",
+                                         "--metrics", str(tmp_path / "m.jsonl")]))
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: checkpoint_every")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_eval_embeds_each_unlabeled_row_once(self, data_file, tmp_path, monkeypatch):
+        ckpt = tmp_path / "run.ockp"
+        rc = main(train_args(data_file, ["--checkpoint-out", str(ckpt),
+                                         "--metrics", str(tmp_path / "m.jsonl"),
+                                         "--summary", str(tmp_path / "s.json")]))
+        assert rc == 0
+        block_rows, embedded = 16, []
+        real_forward = trainer.forward
+
+        def counting_forward(mlp, x):
+            embedded.append(len(x))
+            return real_forward(mlp, x)
+
+        monkeypatch.setattr(trainer, "EVAL_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(trainer, "forward", counting_forward)
+        rc = main(["eval", "--data", str(data_file), "--checkpoint", str(ckpt),
+                   "--seed", "2", "--out", str(tmp_path / "e.json"), "--no-timestamps"])
+        assert rc == 0
+        split = make_split(ingest_features(data_file), 0.5, 0.5, Rng(2, "data"))
+        assert sum(embedded) == split.n_unlabeled
+        assert len(embedded) > 1 and max(embedded) == block_rows
+        assert json.loads((tmp_path / "e.json").read_text())["detection"]
+
     def test_full_label_ratio_has_empty_detection(self, data_file, tmp_path):
         # every known sample is labeled: no in-distribution unlabeled scores
         ckpt, summary, out = (tmp_path / n for n in ("run.ockp", "s.json", "e.json"))
@@ -325,6 +363,35 @@ class TestTrain:
         assert captured.err.startswith("error: ")
         assert "diagnostic" not in captured.err
         assert captured.out == ""
+
+
+def test_eval_output_does_not_depend_on_blas_threads(tmp_path):
+    """`opencon eval` of one checkpoint prints the same bytes with BLAS on
+    one thread and on two. The per-block GEMMs are large enough to pass
+    OpenBLAS's threading threshold, so at two threads each one is split
+    between the threads. Training makes no such promise: its metric lines
+    can differ in the last digits at two threads."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(opencon.__file__).resolve().parent.parent)
+    data, ckpt = str(tmp_path / "d.ocft"), str(tmp_path / "run.ockp")
+
+    def cli(*argv, threads=1):
+        done = subprocess.run(
+            [sys.executable, "-m", "opencon.cli", *argv, "--no-timestamps"],
+            env={**env, "OPENBLAS_NUM_THREADS": str(threads)},
+            capture_output=True, timeout=600)
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout
+
+    cli("gen-data", "--classes", "10", "--per-class", "100", "--dim", "32",
+        "--kappa", "30", "--out", data)
+    cli("train", "--data", data, "--epochs", "3", "--metrics", str(tmp_path / "m.jsonl"),
+        "--summary", str(tmp_path / "s.json"), "--checkpoint-out", ckpt)
+    one, two = (cli("eval", "--data", data, "--checkpoint", ckpt, threads=threads)
+                for threads in (1, 2))
+    assert json.loads(one)["detection"]
+    assert one == two
 
 
 class TestAblateCmd:

@@ -1,14 +1,26 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opencon.core import InvalidTemperature, Rng
-from opencon.data import AugmentConfig, Dataset, generate_synthetic, make_split
-from opencon.encoder import OptimizerConfig
+from opencon.data import AugmentConfig, Dataset, SplitDataset, generate_synthetic, make_split
+from opencon.encoder import Mlp, OptimizerConfig, forward
+from opencon.evaluation import accuracy_triple
 from opencon.objective import LossWeights
+from opencon.prototype import (
+    SCORE_VARIANTS,
+    detection_metrics,
+    init_prototypes,
+    ood_scores,
+    pseudo_labels,
+)
 from opencon.trainer import (
+    EVAL_BLOCK_ROWS,
     Corrupt,
     TrainConfig,
     TrainingDiverged,
@@ -17,6 +29,8 @@ from opencon.trainer import (
     checkpoint_load,
     checkpoint_save,
     detection_report,
+    evaluate_and_detect,
+    evaluate_model,
     train,
 )
 
@@ -202,6 +216,89 @@ class TestAblate:
         assert ablate(tiny_config(), tiny_split(), []) == []
 
 
+def random_model(seed, n_pool, m, h, d, n_classes, n_known, n_labeled=3):
+    """A random encoder, prototype store and split whose unlabeled pool has
+    `n_pool` rows in shuffled order. First-layer biases of at least 1 make a
+    row whose every hidden unit is switched off by the ReLU (it would embed
+    to exactly l2_normalize(b2), tying with every other such row) unlikely,
+    and the random b2 keeps embeddings away from the zero vector."""
+    rs = np.random.default_rng(seed)
+    mlp = Mlp(rs.normal(size=(h, m)) / np.sqrt(m), 1.0 + np.abs(rs.normal(size=h)),
+              rs.normal(size=(d, h)) / np.sqrt(h), rs.normal(size=d))
+    store = init_prototypes(n_classes, d, Rng(seed, "init"), n_known)
+    n = n_labeled + n_pool
+    labels = np.concatenate([rs.integers(0, n_known, n_labeled),
+                             rs.integers(0, n_classes, n_pool)])
+    order = rs.permutation(n)
+    split = SplitDataset(
+        features=rs.normal(size=(n, m)), labels=labels[np.argsort(order)],
+        ids=np.arange(n), labeled_idx=np.sort(order[:n_labeled]),
+        unlabeled_idx=order[n_labeled:], known_classes=np.arange(n_known),
+        all_classes=np.arange(n_classes))
+    return mlp, store, split
+
+
+def whole_pool_reference(mlp, store, split, tau):
+    """The evaluation computed from one forward of the whole pool."""
+    z, _ = forward(mlp, split.unlabeled_features())
+    preds = pseudo_labels(z, store)
+    truth = split.unlabeled_true_labels()
+    triple = accuracy_triple(preds, truth, split.known_classes, split.novel_classes,
+                             store.n_classes)
+    is_known = np.isin(truth, split.known_classes)
+    if is_known.all() or not is_known.any():
+        return triple, preds, {}
+    detection = {}
+    for variant in SCORE_VARIANTS:
+        scores = ood_scores(z, store, variant, tau)
+        detection[variant] = detection_metrics(scores[is_known], scores[~is_known])
+    return triple, preds, detection
+
+
+class TestPoolEvaluation:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_blocked_pass_matches_whole_pool(self, data):
+        b = EVAL_BLOCK_ROWS
+        n_pool = data.draw(st.sampled_from([1, b - 1, b, b + 1, 3 * b + 7]), "n_pool")
+        # Scores that tie exactly or to within an ulp may rank differently
+        # once a block runs through another BLAS kernel than the whole pool
+        # (a 1-row tail through gemv or dot, a short one through the small-
+        # matrix GEMM), so h and d start at 8, where a row's embedding varies
+        # continuously with its input and such ties do not occur.
+        m = data.draw(st.integers(1, 40), "m")
+        h, d = (data.draw(st.integers(8, 40), name) for name in "hd")
+        n_classes = data.draw(st.integers(2, 12), "n_classes")
+        n_known = data.draw(st.integers(1, n_classes - 1), "n_known")
+        tau = data.draw(st.sampled_from([0.1, 0.7, 2.0]), "tau")
+        seed = data.draw(st.integers(0, 2**32 - 1), "seed")
+        mlp, store, split = random_model(seed, n_pool, m, h, d, n_classes, n_known)
+        triple, preds, detection = whole_pool_reference(mlp, store, split, tau)
+
+        got_triple, got_preds = evaluate_model(mlp, store, split)
+        assert got_triple == triple
+        assert got_preds.dtype == preds.dtype
+        np.testing.assert_array_equal(got_preds, preds)
+        assert detection_report(mlp, store, split, tau) == detection
+        assert evaluate_and_detect(mlp, store, split, tau) == (triple, detection)
+
+    def test_detection_memory_scales_with_the_block(self):
+        # 20,000 rows: one (n, h) or (n, d) float64 array alone is 20.5 MB
+        n, m, h, d = 20_000, 32, 128, 128
+        mlp, store, split = random_model(0, n, m, h, d, n_classes=10, n_known=5)
+        tracemalloc.start()
+        try:
+            report = detection_report(mlp, store, split, 0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(report) == set(SCORE_VARIANTS)
+        # a few (block, width) activations plus a dozen (n,) score, label,
+        # mask and rank vectors
+        bound = 8 * (8 * EVAL_BLOCK_ROWS * max(h, d) + 16 * n)
+        assert peak < bound < n * h * 8 // 4
+
+
 class TestDetectionReport:
     def test_variants_present(self):
         split = tiny_split()
@@ -219,6 +316,8 @@ class TestDetectionReport:
         split = make_split(generate_synthetic(6, 30, 12, 40.0, rng), 0.5, 1.0, rng)
         result = train(tiny_config(epochs=2), split)
         assert detection_report(result.mlp, result.store, split, 0.7) == {}
+        triple, _ = evaluate_model(result.mlp, result.store, split)
+        assert evaluate_and_detect(result.mlp, result.store, split, 0.7) == (triple, {})
 
 
 class TestCheckpoint:
@@ -309,6 +408,15 @@ class TestCheckpoint:
             train(tiny_config(), tiny_split(), checkpoint_path=path,
                   checkpoint_every=every)
         assert not path.exists()
+
+    def test_checkpoint_every_needs_a_path(self, monkeypatch):
+        # rejected before the first iteration: the sampler is never asked
+        def no_epoch(self):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("opencon.data.BatchSampler.epoch", no_epoch)
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            train(tiny_config(), tiny_split(), checkpoint_every=1)
 
     def test_dimension_mismatch_on_resume(self, tmp_path):
         split = tiny_split()
