@@ -8,6 +8,7 @@ generation) never perturbs another (say, augmentation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,18 +51,25 @@ def stable_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray | floa
     return np.sum(np.sort(values, axis=axis), axis=axis)
 
 
-def l2_normalize(v) -> np.ndarray:
-    """Scale `v` (a vector or a stack of row vectors) to unit L2 norm.
+def l2_normalize(v, out=None) -> np.ndarray:
+    """Scale `v` (a vector or a stack of row vectors) to unit L2 norm, into
+    `out` when given (which may be `v` itself).
 
     Raises:
-        DegenerateVector: if any row norm is <= EPS_NORM.
+        DegenerateVector: if any row norm is <= EPS_NORM; `out` is untouched.
     """
     v = as_f64(v)
+    if v.ndim == 1:
+        # one row: compare and divide by a Python float, without array dispatch
+        norm = math.sqrt(np.add.reduce(v * v))
+        if norm <= EPS_NORM:
+            raise DegenerateVector(f"norm {norm:.3e} <= {EPS_NORM:.1e}")
+        return np.divide(v, norm, out=out)
     # what np.linalg.norm(v, axis=-1) computes, without its Python dispatch
     norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     if (norms <= EPS_NORM).any():
-        raise DegenerateVector(f"norm {float(norms.min()):.3e} <= {EPS_NORM:.1e}")
-    return v / norms
+        raise DegenerateVector(f"norm {float(np.nanmin(norms)):.3e} <= {EPS_NORM:.1e}")
+    return np.divide(v, norms, out=out)
 
 
 def log_sum_exp(v, axis: int = -1) -> np.ndarray | float:

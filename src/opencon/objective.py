@@ -169,33 +169,38 @@ def _same_key_contrastive(z: np.ndarray, keys: np.ndarray,
     """
     check_temperature(tau)
     z = as_f64(z)
-    n = len(z)
-    pos_mask = np.equal.outer(keys, keys) & ~np.eye(n, dtype=bool)
+    pos_mask = np.equal.outer(keys, keys)
+    np.fill_diagonal(pos_mask, False)
     n_pos = pos_mask.sum(axis=1)
     contrib = n_pos > 0
     n_c = int(contrib.sum())
     if n_c == 0:
         return 0.0, np.zeros_like(z), 0
 
-    s = (z @ z.T) / tau
+    s = z @ z.T
+    s /= tau
+    pos_sum = stable_sum(np.where(pos_mask, s, 0.0), axis=1)
     # the anchor is no negative of itself; exp(-inf) is exactly 0 and every
     # row keeps a finite maximum, since n >= 2 once an anchor has a positive
-    s_neg = s.copy()
-    np.fill_diagonal(s_neg, -np.inf)
-    rowmax = np.max(s_neg, axis=1)
-    e = np.exp(s_neg - rowmax[:, None])
+    np.fill_diagonal(s, -np.inf)
+    rowmax = np.max(s, axis=1)
+    e = s
+    e -= rowmax[:, None]
+    np.exp(e, out=e)
     denom = stable_sum(e, axis=1)
     lse = rowmax + np.log(denom)
-    pos_sum = stable_sum(np.where(pos_mask, s, 0.0), axis=1)
     losses = lse - pos_sum / np.maximum(n_pos, 1)
     loss = stable_sum(losses[contrib]) / n_c
 
     # d(loss)/d(raw similarity): softmax weight on negatives minus the
     # positive average, per contributing anchor, then mapped back to z.
-    w = e / denom[:, None]
-    d = (w - pos_mask / np.maximum(n_pos, 1)[:, None]) / tau
+    d = e
+    d /= denom[:, None]
+    d -= pos_mask / np.maximum(n_pos, 1)[:, None]
+    d /= tau
     d *= contrib[:, None] / n_c
-    grad = d @ z + d.T @ z
+    grad = d @ z
+    grad += d.T @ z
     return float(loss), grad, n_c
 
 
@@ -223,7 +228,7 @@ def kl_regularizer(z: np.ndarray, prototypes: np.ndarray, tau: float,
     through the embeddings only, never the prototypes.
 
     Raises:
-        InvalidPrior: prior does not sum to 1 or has nonpositive entries.
+        InvalidPrior: prior does not sum to 1 or has nonpositive or NaN entries.
     """
     check_temperature(tau)
     z = as_f64(z)
@@ -231,15 +236,16 @@ def kl_regularizer(z: np.ndarray, prototypes: np.ndarray, tau: float,
     prior = as_f64(prior)
     if prior.shape != (m.shape[0],):
         raise InvalidPrior(f"prior length {prior.shape} != class count {m.shape[0]}")
-    if abs(prior.sum() - 1.0) > 1e-9 or np.any(prior <= 0):
+    if not (abs(prior.sum() - 1.0) <= 1e-9 and np.all(prior > 0)):
         raise InvalidPrior("prior must be strictly positive and sum to 1")
     n = len(z)
     if n == 0:
         return 0.0, np.zeros_like(z)
     q = softmax(z @ m.T, tau)
     q_bar = stable_sum(q, axis=0) / n
-    kl = stable_sum(q_bar * (np.log(q_bar) - np.log(prior)))
-    g = np.log(q_bar) - np.log(prior) + 1.0
+    log_ratio = np.log(q_bar) - np.log(prior)
+    kl = stable_sum(q_bar * log_ratio)
+    g = log_ratio + 1.0
     inner = q * g[None, :] - (q @ g)[:, None] * q
     grad = inner @ m / (n * tau)
     return float(kl), grad
@@ -249,7 +255,12 @@ def _composite(z_l, labels_l, z_u, sample_ids_u, novel_rows, pseudo_novel,
                prototypes, weights, prior, drop_l, drop_u, drop_n,
                extra_rows, extra_labels) -> tuple[LossBreakdown, np.ndarray, np.ndarray]:
     """Body of both composite losses. The supervised term covers the labeled
-    views plus the unlabeled views `extra_rows`, labeled `extra_labels`."""
+    views plus the unlabeled views `extra_rows`, labeled `extra_labels`. Both
+    row sets scatter their gradients with `+=`, so a repeated novel row
+    raises ValueError (a repeated view would also be its own positive)."""
+    novel_rows = np.asarray(novel_rows, dtype=np.int64)
+    if np.unique(novel_rows).size < novel_rows.size:
+        raise ValueError("novel_rows must not repeat a view")
     z_l = as_f64(z_l)
     z_u = as_f64(z_u)
     grad_l = np.zeros_like(z_l)
@@ -261,14 +272,13 @@ def _composite(z_l, labels_l, z_u, sample_ids_u, novel_rows, pseudo_novel,
         y_k = np.concatenate([np.asarray(labels_l, np.int64), extra_labels])
         val_l, g, _ = loss_supcon(z_k, y_k, weights.tau_l)
         grad_l += weights.lambda_l * g[:len(z_l)]
-        np.add.at(grad_u, extra_rows, weights.lambda_l * g[len(z_l):])
+        grad_u[extra_rows] += weights.lambda_l * g[len(z_l):]
     if not drop_u:
         val_u, g, _ = loss_simclr(z_u, sample_ids_u, weights.tau_u)
         grad_u += weights.lambda_u * g
-    novel_rows = np.asarray(novel_rows, dtype=np.int64)
     if not drop_n:
         val_n, g_n, _ = loss_novel(z_u[novel_rows], pseudo_novel, weights.tau_n)
-        np.add.at(grad_u, novel_rows, weights.lambda_n * g_n)
+        grad_u[novel_rows] += weights.lambda_n * g_n
     if weights.kl_weight > 0:
         k = prototypes.shape[0]
         p = prior if prior is not None else np.full(k, 1.0 / k)
@@ -299,7 +309,7 @@ def loss_opencon(
     Args:
         z_l, labels_l: embeddings and ground-truth labels of the labeled views.
         z_u, sample_ids_u: embeddings and sample ids of all unlabeled views.
-        novel_rows: indices into z_u of the views that passed the novelty gate.
+        novel_rows: distinct indices into z_u of the views that passed the gate.
         pseudo_novel: predicted class (over all prototypes) per gated view.
         prototypes: (C, d) unit prototype matrix, constant for this call.
         prior: class prior for the KL term; uniform when omitted.

@@ -181,7 +181,10 @@ def update_prototypes(
     work = matrix[classes]
     start = 0
     for size in np.bincount(rank).tolist():
-        work[:size] = l2_normalize(gamma * work[:size] + pulls[start:start + size])
+        rows = work[:size]
+        v = gamma * rows
+        v += pulls[start:start + size]
+        l2_normalize(v, out=rows)
         start += size
     matrix[classes] = work
 
@@ -191,7 +194,10 @@ def update_prototypes(
     picks = np.empty(len(novel_z), np.int64)
     for i, (z, pull) in enumerate(zip(novel_z, (1.0 - gamma) * novel_z)):
         k = picks[i] = (z[None, :] @ novel_t).argmax()
-        novel[k] = l2_normalize(gamma * novel[k] + pull)
+        row = novel[k]
+        v = gamma * row
+        v += pull
+        l2_normalize(v, out=row)
     matrix[novel_ids] = novel
     store.assignment_counts += np.bincount(
         np.concatenate([labeled_y, novel_ids[picks]]), minlength=store.n_classes)

@@ -71,9 +71,37 @@ class TestNormalizeBits:
         expect = v / np.linalg.norm(v, axis=-1, keepdims=True)
         assert l2_normalize(v).tobytes() == expect.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(normalize_inputs())
+    def test_out_equals_returned_copy(self, v):
+        expect = l2_normalize(v)
+        out = np.full_like(v, np.nan)
+        assert l2_normalize(v, out=out) is out
+        assert out.tobytes() == expect.tobytes()
+        # out may alias the input: every element is read before it is written
+        assert l2_normalize(v, out=v) is v
+        assert v.tobytes() == expect.tobytes()
+
     def test_zero_row_raises(self):
         with pytest.raises(DegenerateVector):
             l2_normalize(np.array([[3.0, 4.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("v", [np.zeros(3), np.array([[np.nan, 1.0], [0.0, 0.0]]),
+                                   np.array([[0.0, 0.0], [1.0, np.nan], [1e-13, 0.0]])],
+                             ids=["zero-vector", "nan-then-zero", "zero-nan-tiny"])
+    def test_raise_reports_smallest_real_norm_and_leaves_out(self, v):
+        # a NaN row alone normalizes to NaN, but it must not hide a zero row
+        # or turn the reported norm into nan
+        out = np.full_like(v, 7.0)
+        with pytest.raises(DegenerateVector, match=r"^norm 0\.000e\+00 <= "):
+            l2_normalize(v, out=out)
+        np.testing.assert_array_equal(out, 7.0)
+
+    def test_nan_row_alone_passes_through(self):
+        out = l2_normalize(np.array([[np.nan, 1.0], [3.0, 4.0]]))
+        assert np.isnan(out[0]).all()
+        np.testing.assert_array_equal(out[1], [0.6, 0.8])
+        assert np.isnan(l2_normalize(np.array([np.nan, 1.0]))).all()
 
 
 class TestSoftmax:

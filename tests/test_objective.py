@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opencon.core import InvalidTemperature, Rng, l2_normalize
+from opencon.core import InvalidTemperature, Rng, l2_normalize, stable_sum
 from opencon.encoder import Mlp, backward, forward
 from opencon.objective import (
     ContrastSets,
@@ -20,6 +22,7 @@ from opencon.objective import (
     loss_supcon,
     per_sample_loss,
 )
+from opencon.objective import _same_key_contrastive
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -251,6 +254,63 @@ class TestBatchLosses:
         assert after < loss
 
 
+def frozen_same_key_contrastive(z, keys, tau):
+    """The same-key kernel as it was before its in-place rewrite, kept
+    verbatim as a bitwise oracle (input checks aside)."""
+    n = len(z)
+    pos_mask = np.equal.outer(keys, keys) & ~np.eye(n, dtype=bool)
+    n_pos = pos_mask.sum(axis=1)
+    contrib = n_pos > 0
+    n_c = int(contrib.sum())
+    if n_c == 0:
+        return 0.0, np.zeros_like(z), 0
+    s = (z @ z.T) / tau
+    s_neg = s.copy()
+    np.fill_diagonal(s_neg, -np.inf)
+    rowmax = np.max(s_neg, axis=1)
+    e = np.exp(s_neg - rowmax[:, None])
+    denom = stable_sum(e, axis=1)
+    lse = rowmax + np.log(denom)
+    pos_sum = stable_sum(np.where(pos_mask, s, 0.0), axis=1)
+    losses = lse - pos_sum / np.maximum(n_pos, 1)
+    loss = stable_sum(losses[contrib]) / n_c
+    w = e / denom[:, None]
+    d = (w - pos_mask / np.maximum(n_pos, 1)[:, None]) / tau
+    d *= contrib[:, None] / n_c
+    grad = d @ z + d.T @ z
+    return float(loss), grad, n_c
+
+
+@st.composite
+def same_key_batches(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mode = draw(st.sampled_from(["repeated", "pairs", "singletons"]))
+    if mode == "repeated":
+        keys = rng.integers(0, draw(st.integers(1, n)), size=n)
+    elif mode == "pairs":
+        keys = rng.permutation(np.arange(n) // 2)
+    else:
+        keys = rng.permutation(n)
+    z = rng.normal(size=(n, d))
+    if d > 1 and draw(st.booleans()):
+        z[rng.integers(0, n, size=n)] = z[0]  # identical rows tie in s
+    return l2_normalize(z), keys, draw(st.sampled_from([0.1, 0.4, 0.7]))
+
+
+class TestSameKeyKernelBits:
+    @settings(max_examples=400, deadline=None)
+    @given(same_key_batches())
+    def test_equals_frozen_kernel(self, batch):
+        z, keys, tau = batch
+        loss, grad, n_c = _same_key_contrastive(z, keys, tau)
+        want_loss, want_grad, want_n_c = frozen_same_key_contrastive(z, keys, tau)
+        assert n_c == want_n_c
+        assert loss == want_loss
+        assert grad.tobytes() == want_grad.tobytes()
+
+
 class TestKlRegularizer:
     def test_zero_at_prior(self):
         # symmetric pair of embeddings makes the mean prediction uniform
@@ -282,6 +342,17 @@ class TestKlRegularizer:
             kl_regularizer(z, m, 0.7, np.array([1.0, 0.0]))
         with pytest.raises(InvalidPrior):
             kl_regularizer(z, m, 0.7, np.array([1.0]))
+
+    @pytest.mark.parametrize("prior", [[np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan],
+                                       [np.nan, 0.5, 0.5], [0.5, np.nan, 0.5],
+                                       [0.5, 0.5, np.nan]])
+    def test_nan_prior_rejected(self, prior):
+        # NaN fails every comparison, so `sum - 1 > tol` and `p <= 0` miss it
+        rng = Rng(9, "theory")
+        z = random_unit(rng, 4, 3)
+        m = random_unit(rng, len(prior), 3)
+        with pytest.raises(InvalidPrior):
+            kl_regularizer(z, m, 0.7, np.array(prior))
 
     def test_gradient_matches_finite_differences(self):
         rng = Rng(10, "theory")
@@ -388,6 +459,20 @@ class TestComposite:
         np.testing.assert_array_equal(grad_l, grad_l_drop)
         np.testing.assert_array_equal(grad_u, grad_u_drop)
         assert grad_u.shape == z_u.shape
+
+    @pytest.mark.parametrize("modified", [False, True])
+    def test_repeated_novel_rows_rejected(self, modified):
+        # a repeated row would be its own positive in the novel term, and its
+        # gradient scatter would keep only one of the copies
+        z_l, labels_l, z_u, ids_u, _, _, protos = self._inputs()
+        rows = np.array([2, 3, 2])
+        pseudo = np.array([3, 3, 3])
+        args = (z_l, labels_l, z_u, ids_u, rows, pseudo)
+        with pytest.raises(ValueError, match="repeat"):
+            if modified:
+                loss_modified(*args, np.zeros(len(z_u), np.int64), protos, LossWeights())
+            else:
+                loss_opencon(*args, protos, LossWeights())
 
     def test_weights_validation(self):
         with pytest.raises(InvalidTemperature):
