@@ -42,7 +42,9 @@ _EXPORTS = {
         "verify_alignment_identity", "verify_collision_bound",
         "verify_optimal_prototypes",
     ),
-    "trainer": ("EpochReport", "TrainConfig", "TrainResult", "ablate", "train"),
+    "trainer": (
+        "EpochReport", "TrainConfig", "TrainResult", "ablate", "train", "train_step",
+    ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

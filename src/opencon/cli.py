@@ -60,9 +60,13 @@ def _coerce(name: str, raw: str):
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise OpenConError(f"config key {name!r} expects a boolean, got {raw!r}")
-    if isinstance(default, tuple):
-        return tuple(float(part) for part in raw.split(",") if part.strip())
-    return type(default)(raw)
+    try:
+        if isinstance(default, tuple):
+            return tuple(float(part) for part in raw.split(",") if part.strip())
+        return type(default)(raw)
+    except ValueError:
+        raise OpenConError(f"config key {name!r} expects {type(default).__name__}, "
+                           f"got {raw!r}") from None
 
 
 def load_config_file(path) -> dict:
@@ -77,7 +81,10 @@ def load_config_file(path) -> dict:
             if "=" not in line:
                 raise OpenConError(f"{path}:{lineno}: expected `key = value`")
             key, raw = (part.strip() for part in line.split("=", 1))
-            out[key] = _coerce(key, raw)
+            try:
+                out[key] = _coerce(key, raw)
+            except OpenConError as exc:
+                raise OpenConError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

@@ -118,6 +118,8 @@ class TrainConfig:
             raise ValueError("gamma must lie in [0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
         if not 0.0 <= self.early_stop_tol < np.inf:
@@ -268,6 +270,43 @@ def evaluate_and_detect(mlp: Mlp, store: PrototypeStore, split: SplitDataset,
     return _accuracy(preds, store, split), _detections(scores, is_known)
 
 
+def train_step(mlp: Mlp, optimizer: Optimizer, store: PrototypeStore, config: TrainConfig,
+               batch_l, batch_u, epoch: int, iteration: int, lam: float | None = None):
+    """One EM iteration, in place: encode both batches, gate and pseudo-label
+    against `store` at `lam` (calibrated on this labeled batch when None), take
+    the loss and its gradient, step the optimizer and move the prototypes.
+    Returns (breakdown, threshold, gated views, unlabeled views). Raises
+    TrainingDiverged on a non-finite loss, before anything is updated."""
+    z_l, tape_l = forward(mlp, batch_l.inputs)
+    z_u, tape_u = forward(mlp, batch_u.inputs)
+    if lam is None:
+        lam = calibrate_threshold(z_l, store, config.p)
+    novel_rows = ood_gate(z_u, store, lam).novel_view_ids
+    pseudo_novel = pseudo_labels(z_u[novel_rows], store)
+    drops = {"drop_l": config.drop_l, "drop_u": config.drop_u, "drop_n": config.drop_n}
+    if config.use_modified_loss:
+        pseudo_u = pseudo_labels(z_u, store)
+        breakdown, g_l, g_u = loss_modified(
+            z_l, batch_l.labels, z_u, batch_u.sample_ids, novel_rows,
+            pseudo_novel, pseudo_u, store.matrix, config.weights, **drops)
+    else:
+        breakdown, g_l, g_u = loss_opencon(
+            z_l, batch_l.labels, z_u, batch_u.sample_ids, novel_rows,
+            pseudo_novel, store.matrix, config.weights, **drops)
+    if not np.isfinite(breakdown.total):
+        raise TrainingDiverged(
+            f"non-finite loss at epoch {epoch} iteration {iteration}",
+            state={"epoch": epoch, "iteration": iteration,
+                   "breakdown": dataclasses.asdict(breakdown),
+                   "threshold": lam, "gated": int(novel_rows.size)},
+        )
+    grads = backward(mlp, tape_l, g_l)
+    grads.add_(backward(mlp, tape_u, g_u))
+    optimizer.step(mlp, grads, epoch)
+    update_prototypes(store, z_l, batch_l.labels, z_u[novel_rows], config.gamma)
+    return breakdown, lam, int(novel_rows.size), int(batch_u.n_views)
+
+
 def train(
     config: TrainConfig,
     split: SplitDataset,
@@ -280,7 +319,7 @@ def train(
 
     Raises:
         ValueError: if checkpoint_every is given and < 1, or without a
-            checkpoint_path.
+            checkpoint_path; if eval_every > 0 with an empty unlabeled pool.
         TrainingDiverged: on the first non-finite loss, with diagnostics.
     """
     if checkpoint_every is not None:
@@ -288,6 +327,8 @@ def train(
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         if checkpoint_path is None:
             raise ValueError("checkpoint_every needs a checkpoint path to write to")
+    if config.eval_every > 0 and split.n_unlabeled == 0:
+        raise ValueError("eval_every > 0 needs an unlabeled pool to evaluate; use 0")
     m = split.dim
     h = config.hidden_dim or 2 * m
     d = config.embed_dim
@@ -329,8 +370,6 @@ def train(
 
     sampler = BatchSampler(split, config.b_l, config.b_u, rngs["data"], rngs["augment"],
                            config.augment_config)
-    weights = config.weights
-    drops = {"drop_l": config.drop_l, "drop_u": config.drop_u, "drop_n": config.drop_n}
     labeled_y = split.labeled_labels()
     reports: list[EpochReport] = []
 
@@ -340,52 +379,10 @@ def train(
         if config.calibration == PER_EPOCH:
             z_all_l, _ = forward(mlp, split.labeled_features())
             lam_epoch = calibrate_threshold(z_all_l, store, config.p)
-
-        losses: list[tuple[float, float, float, float, float]] = []
-        lam_values: list[float] = []
-        gated_count = 0
-        unlabeled_count = 0
-
-        for iteration, (batch_l, batch_u) in enumerate(sampler.epoch()):
-            z_l, tape_l = forward(mlp, batch_l.inputs)
-            z_u, tape_u = forward(mlp, batch_u.inputs)
-
-            lam = lam_epoch if lam_epoch is not None else calibrate_threshold(
-                z_l, store, config.p)
-            gate = ood_gate(z_u, store, lam)
-            novel_rows = gate.novel_view_ids
-            pseudo_novel = pseudo_labels(z_u[novel_rows], store)
-
-            if config.use_modified_loss:
-                pseudo_u = pseudo_labels(z_u, store)
-                breakdown, g_l, g_u = loss_modified(
-                    z_l, batch_l.labels, z_u, batch_u.sample_ids, novel_rows,
-                    pseudo_novel, pseudo_u, store.matrix, weights, **drops)
-            else:
-                breakdown, g_l, g_u = loss_opencon(
-                    z_l, batch_l.labels, z_u, batch_u.sample_ids, novel_rows,
-                    pseudo_novel, store.matrix, weights, **drops)
-
-            if not np.isfinite(breakdown.total):
-                raise TrainingDiverged(
-                    f"non-finite loss at epoch {epoch} iteration {iteration}",
-                    state={"epoch": epoch, "iteration": iteration,
-                           "breakdown": dataclasses.asdict(breakdown),
-                           "threshold": lam, "gated": int(novel_rows.size)},
-                )
-
-            grads = backward(mlp, tape_l, g_l)
-            grads.add_(backward(mlp, tape_u, g_u))
-            optimizer.step(mlp, grads, epoch)
-            update_prototypes(store, z_l, batch_l.labels, z_u[novel_rows],
-                              config.gamma)
-
-            losses.append((breakdown.total, breakdown.l, breakdown.u, breakdown.n,
-                           breakdown.kl))
-            if np.isfinite(lam):
-                lam_values.append(float(lam))
-            gated_count += int(novel_rows.size)
-            unlabeled_count += int(batch_u.n_views)
+        records = [train_step(mlp, optimizer, store, config, batch_l, batch_u, epoch,
+                              iteration, lam_epoch)
+                   for iteration, (batch_l, batch_u) in enumerate(sampler.epoch())]
+        breakdowns, lams, gated, views = zip(*records)
 
         if epoch == 0 and config.warm_start:
             z_all_l, _ = forward(mlp, split.labeled_features())
@@ -399,7 +396,8 @@ def train(
             acc_all = acc_novel = acc_seen = None
 
         loss_total, loss_l, loss_u, loss_n, kl = (
-            float(np.mean(column)) for column in zip(*losses))
+            float(np.mean(col)) for col in zip(*map(dataclasses.astuple, breakdowns)))
+        lam_values = [float(lam) for lam in lams if np.isfinite(lam)]
         reports.append(EpochReport(
             epoch=epoch,
             loss_total=loss_total,
@@ -408,7 +406,7 @@ def train(
             loss_n=loss_n,
             kl=kl,
             lambda_threshold=float(np.mean(lam_values)) if lam_values else None,
-            gated_fraction=(gated_count / unlabeled_count) if unlabeled_count else 0.0,
+            gated_fraction=(sum(gated) / sum(views)) if sum(views) else 0.0,
             acc_all=acc_all,
             acc_novel=acc_novel,
             acc_seen=acc_seen,

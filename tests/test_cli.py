@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -10,8 +11,8 @@ import pytest
 
 import opencon
 from opencon import evaluation, trainer
-from opencon.cli import main
-from opencon.core import Rng
+from opencon.cli import load_config_file, main
+from opencon.core import OpenConError, Rng
 from opencon.data import Dataset, ingest_features, make_split, write_features
 from opencon.evaluation import AlignmentIdentityReport
 from opencon.trainer import TrainConfig, train
@@ -338,6 +339,20 @@ class TestTrain:
         rc = main(["train", "--data", str(data_file), "--config", str(cfg),
                    "--no-timestamps"])
         assert rc == 1
+
+    @pytest.mark.parametrize("key, raw", [
+        ("b_l", "abc"), ("lr", "fast"), ("milestones", "0.5,x"), ("drop_n", "maybe"),
+    ])
+    def test_bad_config_value_names_file_line_and_key(self, key, raw, data_file, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# batch sizes\nb_u = 8\n{key} = {raw}\n")
+        with pytest.raises(OpenConError, match=f"^{re.escape(str(cfg))}:3: .*'{key}'"):
+            load_config_file(cfg)
+        rc = main(["train", "--data", str(data_file), "--config", str(cfg),
+                   "--no-timestamps"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:3: config key '{key}'")
 
     @pytest.mark.parametrize("argv", [
         lambda data, cfg: train_args(data, ["--p", "150"]),

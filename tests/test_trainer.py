@@ -7,13 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opencon import trainer
 from opencon.core import InvalidTemperature, Rng
-from opencon.data import AugmentConfig, Dataset, SplitDataset, generate_synthetic, make_split
-from opencon.encoder import Mlp, OptimizerConfig, forward
+from opencon.data import (
+    AugmentConfig,
+    BatchSampler,
+    Dataset,
+    SplitDataset,
+    generate_synthetic,
+    make_split,
+)
+from opencon.encoder import Mlp, Optimizer, OptimizerConfig, forward
 from opencon.evaluation import accuracy_triple
 from opencon.objective import LossWeights
 from opencon.prototype import (
     SCORE_VARIANTS,
+    calibrate_threshold,
     detection_metrics,
     init_prototypes,
     ood_scores,
@@ -32,6 +41,7 @@ from opencon.trainer import (
     evaluate_and_detect,
     evaluate_model,
     train,
+    train_step,
 )
 
 
@@ -202,6 +212,116 @@ class TestTrainLoop:
         for r in result.reports:
             payload = json.dumps(r.as_dict())
             assert "Infinity" not in payload and "NaN" not in payload
+
+    def test_negative_eval_every_rejected(self):
+        # a negative cadence would otherwise mean "never", a second spelling of 0
+        with pytest.raises(ValueError, match="eval_every"):
+            tiny_config(eval_every=-5)
+
+    def test_empty_pool_with_evaluation_rejected_before_training(self, monkeypatch):
+        # every class known and every sample labeled: nothing to evaluate on
+        ds = generate_synthetic(4, 20, 8, 40.0, Rng(0, "data"))
+        split = make_split(ds, 1.0, 1.0, Rng(0, "data"))
+        assert split.n_unlabeled == 0
+
+        def no_step(*args):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(trainer, "train_step", no_step)
+        with pytest.raises(ValueError, match="eval_every"):
+            train(tiny_config(b_u=0, eval_every=1), split)
+        monkeypatch.undo()
+        result = train(tiny_config(epochs=2, b_u=0, eval_every=0), split)
+        assert [r.acc_all for r in result.reports] == [None, None]
+
+
+def step_parts(config, split):
+    """The model, optimizer, store and sampler that `train` builds for a
+    fresh run, built by hand from the same named rng streams."""
+    rngs = {name: Rng(config.seed, name) for name in ("init", "data", "augment")}
+    m, d = split.dim, config.embed_dim
+    mlp = Mlp.init(m, config.hidden_dim or 2 * m, d, rngs["init"])
+    store = init_prototypes(config.n_prototypes or len(split.all_classes), d, rngs["init"],
+                            len(split.known_classes))
+    sampler = BatchSampler(split, config.b_l, config.b_u, rngs["data"], rngs["augment"],
+                           config.augment_config)
+    return mlp, Optimizer(config.optimizer_config, mlp), store, sampler
+
+
+class TestTrainStep:
+    @pytest.mark.parametrize("overrides", [
+        {}, {"use_modified_loss": True}, {"p": 0.0}, {"calibration": "per_epoch"},
+    ], ids=["default", "modified-loss", "p0", "per-epoch"])
+    def test_one_epoch_of_steps_is_train(self, overrides):
+        split = tiny_split()
+        config = tiny_config(epochs=1, warm_start=False, eval_every=0, **overrides)
+        mlp, optimizer, store, sampler = step_parts(config, split)
+        store.reset_counts()
+        lam = None
+        if config.calibration == "per_epoch":
+            lam = calibrate_threshold(forward(mlp, split.labeled_features())[0], store,
+                                      config.p)
+        records = [train_step(mlp, optimizer, store, config, batch_l, batch_u, 0, i, lam)
+                   for i, (batch_l, batch_u) in enumerate(sampler.epoch())]
+
+        result = train(config, split)
+        np.testing.assert_array_equal(flat_params(mlp), flat_params(result.mlp))
+        for mine, theirs in zip(dataclasses.astuple(optimizer.velocity),
+                                dataclasses.astuple(result.final_state.velocity)):
+            np.testing.assert_array_equal(mine, theirs)
+        np.testing.assert_array_equal(store.matrix, result.store.matrix)
+        np.testing.assert_array_equal(store.assignment_counts,
+                                      result.store.assignment_counts)
+        breakdowns, thresholds, gated, views = zip(*records)
+        if lam is not None:
+            assert set(thresholds) == {lam}  # a given threshold is the one applied
+        r = result.final
+        means = [float(np.mean(col)) for col in zip(*map(dataclasses.astuple, breakdowns))]
+        assert means == [r.loss_total, r.loss_l, r.loss_u, r.loss_n, r.kl]
+        assert sum(gated) / sum(views) == r.gated_fraction
+
+    def test_non_finite_loss_raises_before_any_update(self):
+        split = tiny_split()
+        config = tiny_config()
+        mlp, optimizer, store, sampler = step_parts(config, split)
+        batch_l, batch_u = next(sampler.epoch())
+        inputs = batch_u.inputs.copy()
+        inputs[0, 0] = np.nan
+        batch_u = dataclasses.replace(batch_u, inputs=inputs)
+        params = flat_params(mlp)
+        velocity = [v.copy() for v in dataclasses.astuple(optimizer.velocity)]
+        matrix, counts = store.matrix.copy(), store.assignment_counts.copy()
+        with pytest.raises(TrainingDiverged, match="epoch 3 iteration 5") as err:
+            train_step(mlp, optimizer, store, config, batch_l, batch_u, 3, 5)
+        assert set(err.value.state) == {"epoch", "iteration", "breakdown", "threshold",
+                                        "gated"}
+        assert (err.value.state["epoch"], err.value.state["iteration"]) == (3, 5)
+        np.testing.assert_array_equal(flat_params(mlp), params)
+        for now, before in zip(dataclasses.astuple(optimizer.velocity), velocity):
+            np.testing.assert_array_equal(now, before)
+        np.testing.assert_array_equal(store.matrix, matrix)
+        np.testing.assert_array_equal(store.assignment_counts, counts)
+
+    def test_step_looks_its_phases_up_in_the_trainer_module(self, monkeypatch):
+        # the benchmark's tracer times each phase by replacing these globals
+        calls = {"forward": 0, "loss_opencon": 0, "update_prototypes": 0}
+
+        def counting(name):
+            original = getattr(trainer, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(trainer, name, counting(name))
+        split = tiny_split()
+        config = tiny_config()
+        mlp, optimizer, store, sampler = step_parts(config, split)
+        batch_l, batch_u = next(sampler.epoch())
+        train_step(mlp, optimizer, store, config, batch_l, batch_u, 0, 0)
+        assert calls == {"forward": 2, "loss_opencon": 1, "update_prototypes": 1}
 
 
 class TestAblate:
