@@ -226,8 +226,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_estimate_k(args) -> int:
-    split = _load_split(args, args.seed)
     lo, _, hi = args.range.partition(":")
+    if not (lo.isdecimal() and hi.isdecimal() and 1 <= int(lo) <= int(hi)):
+        raise OpenConError(f"--range expects LO:HI with 1 <= LO <= HI, got {args.range!r}")
+    split = _load_split(args, args.seed)
     candidates = range(int(lo), int(hi) + 1)
     feats = np.concatenate([split.labeled_features(), split.unlabeled_features()])
     labeled_mask = np.concatenate([

@@ -107,6 +107,8 @@ def generate_synthetic(
         raise ValueError(f"n_classes must be >= 2, got {n_classes}")
     if kappa <= 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
+    if per_class < 0:
+        raise ValueError(f"per_class must be >= 0, got {per_class}")
     means = np.zeros((n_classes, ambient_dim))
     for c in range(n_classes):
         for _ in range(MEAN_PLACEMENT_TRIES):

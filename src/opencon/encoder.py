@@ -57,8 +57,7 @@ class Tape:
     (including through the output normalization)."""
 
     x: np.ndarray         # (n, m)
-    pre1: np.ndarray      # (n, h) before ReLU
-    hidden: np.ndarray    # (n, h)
+    hidden: np.ndarray    # (n, h) after ReLU
     inv_norm: np.ndarray  # (n,) 1/||pre-normalization output||
     z: np.ndarray         # (n, d) unit embeddings
     dims: tuple[int, int, int]
@@ -104,7 +103,7 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, Tape]:
         raise DegenerateVector("pre-normalization output collapsed to zero")
     inv_norm = 1.0 / norms
     z = v * inv_norm[:, None]
-    tape = Tape(xb, pre1, hidden, inv_norm, z, mlp.dims)
+    tape = Tape(xb, hidden, inv_norm, z, mlp.dims)
     return (z[0] if single else z), tape
 
 
@@ -126,7 +125,8 @@ def backward(mlp: Mlp, tape: Tape, grad_z: np.ndarray) -> Grads:
     dw2 = dv.T @ tape.hidden
     db2 = dv.sum(axis=0)
     dh = dv @ mlp.w2
-    dh_pre = dh * (tape.pre1 > 0.0)
+    # hidden = max(pre1, 0) is > 0 exactly where pre1 is, NaN included
+    dh_pre = dh * (tape.hidden > 0.0)
     dw1 = dh_pre.T @ tape.x
     db1 = dh_pre.sum(axis=0)
     return Grads(dw1, db1, dw2, db2)

@@ -10,6 +10,7 @@ contrastive learning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,13 +323,25 @@ def estimate_class_number(
 # Numerical verification of the clustering interpretation
 # ---------------------------------------------------------------------------
 
-def _log_vmf_coeff(dim: int, kappa: float) -> float:
-    # imported here so that only the verification suite loads SciPy
-    from scipy.special import ive
+def _log_bessel_i(nu: float, kappa: float) -> float:
+    """log I_nu(kappa) for nu >= 0 and kappa > 0, from the power series
+    sum_k (kappa/2)^(2k+nu) / (k! Gamma(k+nu+1)) (Abramowitz & Stegun 9.6.10)
+    in log space. The terms rise until k is about kappa/2 and fall after it;
+    the sum stops past that peak once a term is below 1e-17 of it."""
+    log_half, terms, k = math.log(kappa / 2.0), [], 0
+    while True:
+        terms.append((2 * k + nu) * log_half - math.lgamma(k + 1) - math.lgamma(k + nu + 1))
+        if k > kappa / 2.0 and terms[-1] < max(terms) + math.log(1e-17):
+            break
+        k += 1
+    peak = max(terms)
+    return peak + math.log(math.fsum(math.exp(t - peak) for t in terms))
 
+
+def _log_vmf_coeff(dim: int, kappa: float) -> float:
     nu = dim / 2.0 - 1.0
     return nu * np.log(kappa) - (dim / 2.0) * np.log(2.0 * np.pi) \
-        - (np.log(ive(nu, kappa)) + kappa)
+        - _log_bessel_i(nu, kappa)
 
 
 @dataclass(frozen=True)
@@ -591,6 +604,8 @@ class VerificationSummary:
 
 def run_verification_suite(trials: int, seed: int) -> VerificationSummary:
     """Run all three oracles over independently seeded instances."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     failures: list[str] = []
     for t in range(trials):
         rng = Rng(seed + t, "theory")

@@ -118,6 +118,10 @@ class TrainConfig:
             raise ValueError("gamma must lie in [0, 1)")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.embed_dim < 1:
+            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if self.hidden_dim < 0:
+            raise ValueError(f"hidden_dim must be >= 0, got {self.hidden_dim}")
         if self.eval_every < 0:
             raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
         if self.early_stop_patience < 1:

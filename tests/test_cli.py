@@ -365,9 +365,15 @@ class TestTrain:
         lambda data, cfg: train_args(data, ["--lr-decay", "nan"]),
         lambda data, cfg: train_args(data, ["--aug-p-mask", "1.0"]),
         lambda data, cfg: train_args(data, ["--early-stop-tol", "inf"]),
+        lambda data, cfg: train_args(data, ["--hidden-dim", "-3"]),
+        lambda data, cfg: train_args(data, ["--embed-dim", "0"]),
+        lambda data, cfg: ["gen-data", "--classes", "4", "--per-class", "-5", "--dim", "6",
+                           "--kappa", "40", "--out", str(cfg.parent / "neg.ocft")],
+        lambda data, cfg: ["verify", "--trials", "-3", "--no-timestamps"],
     ], ids=["p-out-of-range", "negative-lr", "config-not-an-int", "range-not-ints",
             "momentum-nan", "aug-sigma-inf", "negative-weight-decay", "lr-decay-nan",
-            "aug-p-mask-one", "early-stop-tol-inf"])
+            "aug-p-mask-one", "early-stop-tol-inf", "negative-hidden-dim", "zero-embed-dim",
+            "negative-per-class", "negative-trials"])
     def test_bad_value_is_runtime_error(self, argv, data_file, tmp_path, capsys):
         # rejected before training: an error line and no metric line
         cfg = tmp_path / "bad.cfg"
@@ -467,6 +473,13 @@ class TestEstimateK:
         assert 2 <= first["estimate"] <= 9
         assert main(args) == 0
         assert json.loads(out.read_text()) == first
+
+    @pytest.mark.parametrize("value", ["3", "abc", "5:2", "0:3"])
+    def test_bad_range_names_the_flag(self, value, data_file, capsys):
+        rc = main(["estimate-k", "--data", str(data_file), "--range", value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --range") and repr(value) in err
 
 
 class TestVerify:

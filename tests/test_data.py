@@ -36,6 +36,10 @@ class TestGenerateSynthetic:
         ds = generate_synthetic(3, 0, 8, 50.0, Rng(1, "data"))
         assert ds.n == 0
 
+    def test_negative_per_class_rejected(self):
+        with pytest.raises(ValueError, match="per_class"):
+            generate_synthetic(3, -5, 8, 50.0, Rng(1, "data"))
+
     def test_bad_dim(self):
         with pytest.raises(InvalidDimension):
             generate_synthetic(2, 10, 1, 50.0, Rng(1, "data"))

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -12,6 +13,7 @@ from opencon.core import Rng, VmfParams, l2_normalize, sample_uniform_sphere, sa
 from opencon.evaluation import (
     AlignmentIdentityReport,
     EmptyEvaluationSet,
+    _log_bessel_i,
     _matched_accuracy,
     accuracy_triple,
     converged_cluster_count,
@@ -342,6 +344,17 @@ class TestOptimalPrototypes:
         assert report.ranking_agrees
 
 
+class TestLogBessel:
+    def test_matches_scipy_ive(self):
+        # log(ive(nu, kappa)) = log I_nu(kappa) - kappa, where SciPy's value
+        # is a normal float; nu = dim/2 - 1 for dims 2..128
+        nu, kappa = np.meshgrid(np.arange(0.0, 63.5, 0.5), np.geomspace(1e-3, 700.0, 60))
+        ref = scipy.special.ive(nu, kappa)
+        usable = np.isfinite(ref) & (ref >= np.finfo(float).tiny)
+        ours = [_log_bessel_i(n, k) - k for n, k in zip(nu[usable], kappa[usable])]
+        np.testing.assert_allclose(ours, np.log(ref[usable]), rtol=1e-12, atol=0.0)
+
+
 class TestAlignmentIdentity:
     def test_identical_within_groups(self):
         feats = np.concatenate([np.tile([1.0, 0.0], (4, 1)),
@@ -433,6 +446,10 @@ class TestSuite:
     def test_zero_trials(self):
         summary = run_verification_suite(trials=0, seed=0)
         assert summary.passed
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(ValueError, match="trials"):
+            run_verification_suite(trials=-3, seed=0)
 
     def test_perturb_injects_failure(self, monkeypatch):
         failing = AlignmentIdentityReport(False, 1.0, (), ())

@@ -1,12 +1,16 @@
 """What `import opencon` and the `opencon` command load, run in fresh
-interpreters with no BLAS thread variables set."""
+interpreters with no BLAS thread variables set, and what the package
+declares it needs."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 import opencon
 
@@ -83,7 +87,7 @@ def test_every_public_name_imports():
     assert out.strip() == "[]"
 
 
-def test_only_verify_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     out = run_python("""
         import sys
         from opencon.cli import main
@@ -101,10 +105,22 @@ def test_only_verify_loads_scipy(tmp_path):
             ["estimate-k", *split, "--range", "2:4", "--out", work + "/k.json"],
             ["ablate", *split, *train, "--preset", "modified-loss",
              "--out", work + "/a.json"],
+            ["verify", "--trials", "1", "--out", work + "/v.json"],
         ]
         codes = [main([*argv, "--no-timestamps"]) for argv in commands]
         loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-        codes.append(main(["verify", "--trials", "1", "--out", work + "/v.json"]))
         print(codes, loaded)
     """, str(tmp_path))
     assert out.strip() == "[0, 0, 0, 0, 0, 0] []"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in requirements}
+
+    assert names(project["dependencies"]) == {"numpy"}
+    assert names(project["optional-dependencies"]["test"]) >= {"scipy", "pytest", "hypothesis"}

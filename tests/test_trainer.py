@@ -181,6 +181,14 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=match):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("embed_dim", 0), ("embed_dim", -1), ("hidden_dim", -3),
+    ])
+    def test_layer_widths_rejected(self, field, value):
+        # hidden_dim = 0 stays valid: it means twice the input dim
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
     def test_range_edges_accepted(self):
         TrainConfig(momentum=0.0, weight_decay=0.0, aug_sigma=0.0, aug_p_mask=0.0,
                     early_stop_tol=0.0)
