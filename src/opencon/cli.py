@@ -230,6 +230,8 @@ def cmd_estimate_k(args) -> int:
     if not (lo.isdecimal() and hi.isdecimal() and 1 <= int(lo) <= int(hi)):
         raise OpenConError(f"--range expects LO:HI with 1 <= LO <= HI, got {args.range!r}")
     split = _load_split(args, args.seed)
+    if int(hi) > (n_rows := split.n_labeled + split.n_unlabeled):
+        raise OpenConError(f"--range {args.range!r} exceeds the {n_rows} rows of the data")
     candidates = range(int(lo), int(hi) + 1)
     feats = np.concatenate([split.labeled_features(), split.unlabeled_features()])
     labeled_mask = np.concatenate([

@@ -474,7 +474,7 @@ class TestEstimateK:
         assert main(args) == 0
         assert json.loads(out.read_text()) == first
 
-    @pytest.mark.parametrize("value", ["3", "abc", "5:2", "0:3"])
+    @pytest.mark.parametrize("value", ["3", "abc", "5:2", "0:3", "2:1000"])
     def test_bad_range_names_the_flag(self, value, data_file, capsys):
         rc = main(["estimate-k", "--data", str(data_file), "--range", value])
         assert rc == 1

@@ -114,6 +114,30 @@ def test_no_command_loads_scipy(tmp_path):
     assert out.strip() == "[0, 0, 0, 0, 0, 0] []"
 
 
+def test_cli_and_eval_do_not_load_concurrent_futures(tmp_path):
+    # importing concurrent.futures after NumPy costs 7-8 ms; evaluation's
+    # second lane is a plain threading.Thread
+    out = run_python("""
+        import sys
+        import opencon.cli
+
+        loaded = ["concurrent.futures" in sys.modules]
+        work = sys.argv[1]
+        data, ckpt = work + "/s1.ocft", work + "/c.ockp"
+        split = ["--data", data, "--known-frac", "0.5", "--label-ratio", "0.5"]
+        codes = [opencon.cli.main([*argv, "--no-timestamps"]) for argv in (
+            ["gen-data", "--classes", "10", "--per-class", "60", "--dim", "32",
+             "--kappa", "30", "--out", data],
+            ["train", *split, "--epochs", "1", "--eval-every", "0", "--metrics",
+             work + "/m.jsonl", "--summary", work + "/s.json", "--checkpoint-out", ckpt],
+            ["eval", *split, "--checkpoint", ckpt, "--out", work + "/e.json"],
+        )]
+        loaded.append("concurrent.futures" in sys.modules)
+        print(codes, loaded)
+    """, str(tmp_path))
+    assert out.strip() == "[0, 0, 0] [False, False]"
+
+
 def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     with open(SRC.parent / "pyproject.toml", "rb") as fh:

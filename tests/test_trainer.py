@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opencon import trainer
-from opencon.core import InvalidTemperature, Rng
+from opencon.core import DegenerateVector, InvalidTemperature, Rng
 from opencon.data import (
     AugmentConfig,
     BatchSampler,
@@ -425,6 +427,82 @@ class TestPoolEvaluation:
         # mask and rank vectors
         bound = 8 * (8 * EVAL_BLOCK_ROWS * max(h, d) + 16 * n)
         assert peak < bound < n * h * 8 // 4
+
+
+SMALL_BLOCK = 32
+
+
+def two_lanes():
+    """Blocks of SMALL_BLOCK rows, and the second evaluation lane open for
+    every encoder and every pool of more than one block."""
+    return mock.patch.multiple(trainer, EVAL_LANE_MIN_MACS=0, EVAL_BLOCK_ROWS=SMALL_BLOCK,
+                               _usable_cpus=lambda: 2)
+
+
+def forward_calls(monkeypatch, fail_on=None):
+    """Record the thread of every `forward` the trainer makes, and of the one
+    that raises DegenerateVector on the input `fail_on`."""
+    threads, failed_in = [], []
+
+    def recording_forward(mlp, x):
+        threads.append(threading.get_ident())
+        if fail_on is not None and np.array_equal(x, fail_on):
+            failed_in.append(threading.get_ident())
+            raise DegenerateVector("injected")
+        return forward(mlp, x)
+
+    monkeypatch.setattr(trainer, "forward", recording_forward)
+    return threads, failed_in
+
+
+class TestTwoLanePoolEvaluation:
+    # S2's encoder (m = d = 128, h = 256) and S1's (m = 32, h = 64, d = 128)
+    WIDE, NARROW = (128, 256, 128), (32, 64, 128)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_blocked_property_on_two_lanes(self, data):
+        # the same draws, with every pool of more than one block on two lanes
+        prop = TestPoolEvaluation.test_blocked_pass_matches_whole_pool.hypothesis.inner_test
+        with two_lanes():
+            prop(self, data)
+
+    def test_two_lanes_return_the_one_lane_bytes(self):
+        mlp, store, split = random_model(3, 2_000, *self.WIDE, n_classes=20, n_known=10)
+        outputs = []
+        for cpus in (1, 2):
+            with mock.patch.object(trainer, "_usable_cpus", lambda: cpus):
+                outputs.append(trainer._pool_pass(mlp, store, split, True, 0.7))
+        (preds_1, scores_1), (preds_2, scores_2) = outputs
+        assert preds_1.tobytes() == preds_2.tobytes()
+        assert scores_1.keys() == scores_2.keys() == set(SCORE_VARIANTS)
+        for variant, s in scores_1.items():
+            assert s.tobytes() == scores_2[variant].tobytes()
+
+    @pytest.mark.parametrize("case, n_threads", [
+        ("wide", 2), ("one block", 1), ("narrow", 1), ("one cpu", 1)])
+    def test_threads_seen_by_forward(self, case, n_threads, monkeypatch):
+        m, h, d = self.NARROW if case == "narrow" else self.WIDE
+        assert (h * (m + d) >= trainer.EVAL_LANE_MIN_MACS) == (case != "narrow")
+        n_pool = EVAL_BLOCK_ROWS if case == "one block" else 4 * EVAL_BLOCK_ROWS
+        mlp, store, split = random_model(0, n_pool, m, h, d, n_classes=6, n_known=3)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 1 if case == "one cpu" else 2)
+        threads, _ = forward_calls(monkeypatch)
+        evaluate_model(mlp, store, split)
+        assert len(threads) == n_pool // EVAL_BLOCK_ROWS
+        assert len(set(threads)) == n_threads
+
+    @pytest.mark.parametrize("lane, block", [("helper", 1), ("caller", 2)])
+    def test_failing_lane_raises_and_leaves_no_thread(self, lane, block, monkeypatch):
+        mlp, store, split = random_model(1, 4 * SMALL_BLOCK + 5, 8, 8, 8, n_classes=6,
+                                         n_known=3)
+        rows = split.unlabeled_idx[block * SMALL_BLOCK:(block + 1) * SMALL_BLOCK]
+        _, failed_in = forward_calls(monkeypatch, fail_on=split.features[rows])
+        before = threading.active_count()
+        with two_lanes(), pytest.raises(DegenerateVector, match="injected"):
+            evaluate_model(mlp, store, split)
+        assert threading.active_count() == before
+        assert (failed_in == [threading.get_ident()]) == (lane == "caller")
 
 
 class TestDetectionReport:
