@@ -282,13 +282,31 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
             p.add_argument(flag, dest=name, type=type(f.default), default=None)
 
 
-def make_parser() -> argparse.ArgumentParser:
+# subcommand -> its help line
+_COMMANDS = {
+    "gen-data": "write a synthetic feature file",
+    "train": "run the training loop",
+    "eval": "evaluate a checkpoint on a split",
+    "ablate": "train and compare variants",
+    "estimate-k": "estimate the class count",
+    "verify": "run the numerical verification suite",
+}
+
+
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `opencon` parser. Every subcommand is registered with its help, but
+    only `command` gets its flags (all of them get theirs when it is None)."""
     parser = argparse.ArgumentParser(
         prog="opencon",
         description="open-world contrastive learning: data generation, "
                     "training, evaluation, ablations, and verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, func):
+        p = sub.add_parser(name, help=_COMMANDS[name])
+        p.set_defaults(func=func)
+        return p if command in (None, name) else None
 
     def common(p, with_out=True, seed=0):
         p.add_argument("--seed", type=int, default=seed)
@@ -297,60 +315,58 @@ def make_parser() -> argparse.ArgumentParser:
                            help="write JSON here instead of stdout")
         p.add_argument("--no-timestamps", action="store_true")
 
-    p = sub.add_parser("gen-data", help="write a synthetic feature file")
-    common(p, with_out=False)
-    p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--per-class", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--max-mean-cosine", type=float, default=0.5)
-    p.add_argument("--out", required=True, help="output feature file")
-    p.set_defaults(func=cmd_gen_data)
+    if p := add("gen-data", cmd_gen_data):
+        common(p, with_out=False)
+        p.add_argument("--classes", type=int, required=True)
+        p.add_argument("--per-class", type=int, required=True)
+        p.add_argument("--dim", type=int, required=True)
+        p.add_argument("--kappa", type=float, required=True)
+        p.add_argument("--max-mean-cosine", type=float, default=0.5)
+        p.add_argument("--out", required=True, help="output feature file")
 
-    p = sub.add_parser("train", help="run the training loop")
-    common(p, seed=None)  # None lets a config-file seed apply
-    _add_split_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--metrics", help="epoch metrics JSON-lines file (default stdout)")
-    p.add_argument("--summary", help="final summary JSON file (default stdout)")
-    p.add_argument("--checkpoint-out")
-    p.add_argument("--checkpoint-every", type=int, default=None)
-    p.add_argument("--resume")
-    p.set_defaults(func=cmd_train)
+    if p := add("train", cmd_train):
+        common(p, seed=None)  # None lets a config-file seed apply
+        _add_split_flags(p)
+        _add_train_flags(p)
+        p.add_argument("--metrics", help="epoch metrics JSON-lines file (default stdout)")
+        p.add_argument("--summary", help="final summary JSON file (default stdout)")
+        p.add_argument("--checkpoint-out")
+        p.add_argument("--checkpoint-every", type=int, default=None)
+        p.add_argument("--resume")
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
-    common(p)
-    _add_split_flags(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--tau", type=float, default=0.7,
-                   help="temperature for msp/energy detection scores")
-    p.set_defaults(func=cmd_eval)
+    if p := add("eval", cmd_eval):
+        common(p)
+        _add_split_flags(p)
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--tau", type=float, default=0.7,
+                       help="temperature for msp/energy detection scores")
 
-    p = sub.add_parser("ablate", help="train and compare variants")
-    common(p, seed=None)
-    _add_split_flags(p)
-    _add_train_flags(p)
-    p.add_argument("--preset", choices=tuple(ABLATION_PRESETS), default="loss-components")
-    p.set_defaults(func=cmd_ablate)
+    if p := add("ablate", cmd_ablate):
+        common(p, seed=None)
+        _add_split_flags(p)
+        _add_train_flags(p)
+        p.add_argument("--preset", choices=tuple(ABLATION_PRESETS),
+                       default="loss-components")
 
-    p = sub.add_parser("estimate-k", help="estimate the class count")
-    common(p)
-    _add_split_flags(p)
-    p.add_argument("--range", required=True, help="candidate range, e.g. 2:20")
-    p.add_argument("--checkpoint", help="embed with this encoder (default: raw features)")
-    p.set_defaults(func=cmd_estimate_k)
+    if p := add("estimate-k", cmd_estimate_k):
+        common(p)
+        _add_split_flags(p)
+        p.add_argument("--range", required=True, help="candidate range, e.g. 2:20")
+        p.add_argument("--checkpoint",
+                       help="embed with this encoder (default: raw features)")
 
-    p = sub.add_parser("verify", help="run the numerical verification suite")
-    common(p)
-    p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(func=cmd_verify)
+    if p := add("verify", cmd_verify):
+        common(p)
+        p.add_argument("--trials", type=int, default=100)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # flags only for the subcommand named first, when one is
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = make_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (OpenConError, ValueError, OSError) as exc:

@@ -74,7 +74,8 @@ class Dataset:
             raise InvalidDimension("features must be 2-D (n, m)")
         if len(self.labels) != len(self.features) or len(self.ids) != len(self.features):
             raise DimensionMismatch("features/labels/ids length mismatch")
-        if np.unique(self.ids).size != len(self.ids):
+        ids = np.sort(self.ids)
+        if (ids[1:] == ids[:-1]).any():
             # views are paired by id: a shared id makes other samples positives
             raise ValueError("sample ids must be unique")
 
@@ -148,13 +149,18 @@ class SplitDataset:
     all_classes: np.ndarray    # sorted, hidden truth (evaluation only)
 
     def __post_init__(self):
-        li, ui = set(self.labeled_idx.tolist()), set(self.unlabeled_idx.tolist())
-        if li & ui:
+        n = len(self.labels)
+        rows = np.concatenate([self.labeled_idx, self.unlabeled_idx])
+        if np.isin(self.labeled_idx, self.unlabeled_idx).any():
             raise OpenConError("labeled and unlabeled pools overlap")
-        if li | ui != set(range(len(self.labels))):
+        # range first: bincount rejects a row below 0 and grows past n for one above
+        in_range = not rows.size or 0 <= rows.min() <= rows.max() < n
+        if not in_range or not (counts := np.bincount(rows, minlength=n)).all():
             raise OpenConError("labeled/unlabeled pools do not partition the dataset")
-        lab_classes = set(self.labels[self.labeled_idx].tolist())
-        if not lab_classes <= set(self.known_classes.tolist()):
+        if (repeated := np.flatnonzero(counts > 1)).size:
+            # a repeated row is sampled twice an epoch and scored twice
+            raise OpenConError(f"a split pool repeats row {repeated[0]}")
+        if not np.isin(self.labels[self.labeled_idx], self.known_classes).all():
             raise OpenConError("a labeled sample carries a non-known class")
 
     @property

@@ -95,14 +95,18 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, Tape]:
     m, h, d = mlp.dims
     if xb.shape[1] != m:
         raise ShapeMismatch(f"input dim {xb.shape[1]} != network in_dim {m}")
-    pre1 = xb @ mlp.w1.T + mlp.b1
-    hidden = np.maximum(pre1, 0.0)
-    v = hidden @ mlp.w2.T + mlp.b2
-    norms = np.linalg.norm(v, axis=1)
+    # each bias add, the ReLU and the scaling run in its GEMM's own result;
+    # the norm is np.linalg.norm(z, axis=1)'s expression for real input
+    hidden = xb @ mlp.w1.T
+    hidden += mlp.b1
+    np.maximum(hidden, 0.0, out=hidden)
+    z = hidden @ mlp.w2.T
+    z += mlp.b2
+    norms = np.sqrt(np.add.reduce(z * z, axis=1))
     if np.any(norms <= EPS_NORM):
         raise DegenerateVector("pre-normalization output collapsed to zero")
     inv_norm = 1.0 / norms
-    z = v * inv_norm[:, None]
+    z *= inv_norm[:, None]
     tape = Tape(xb, hidden, inv_norm, z, mlp.dims)
     return (z[0] if single else z), tape
 

@@ -221,7 +221,11 @@ def _pool_pass(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bo
     """Embed the unlabeled pool once, EVAL_BLOCK_ROWS rows at a time, keeping
     per row only the predicted class (if `predict`) and, when `tau` is given,
     the score of every detection variant. Past the gate below, a helper thread
-    embeds the odd blocks, each into its own slice, so the outputs stay bitwise."""
+    embeds the odd blocks, each into its own slice, so the outputs stay bitwise.
+    Non-finite parameters, prototypes or feature rows raise before their GEMMs."""
+    for name, value in {**mlp.params(), "prototypes": store.matrix}.items():
+        if not np.isfinite(value).all():
+            raise OpenConError(f"cannot evaluate with non-finite {name}")
     rows = split.unlabeled_idx
     n = len(rows)
     preds = np.empty(n, np.int64) if predict else None
@@ -234,7 +238,11 @@ def _pool_pass(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bo
                 if failure:
                     return
                 block = slice(start, start + EVAL_BLOCK_ROWS)
-                z, _ = forward(mlp, split.features[rows[block]])
+                x = split.features[rows[block]]
+                if not np.isfinite(x).all():
+                    row = rows[block][np.argmin(np.isfinite(x).all(axis=1))]
+                    raise OpenConError(f"cannot evaluate non-finite feature row {row}")
+                z, _ = forward(mlp, x)
                 if preds is not None:
                     preds[block] = pseudo_labels(z, store)
                 for variant, out in scores.items():

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import opencon
-from opencon import evaluation, trainer
-from opencon.cli import load_config_file, main
+from opencon import cli, evaluation, trainer
+from opencon.cli import load_config_file, main, make_parser
 from opencon.core import OpenConError, Rng
 from opencon.data import Dataset, ingest_features, make_split, write_features
 from opencon.evaluation import AlignmentIdentityReport
@@ -150,6 +150,26 @@ class TestTrain:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert captured.out == ""
+        assert not out.exists()
+
+    def test_eval_rejects_non_finite_features(self, data_file, tmp_path, capsys):
+        ckpt = tmp_path / "run.ockp"
+        rc = main(train_args(data_file, ["--checkpoint-out", str(ckpt),
+                                         "--metrics", str(tmp_path / "m.jsonl"),
+                                         "--summary", str(tmp_path / "s.json")]))
+        assert rc == 0
+        ds = ingest_features(data_file)
+        features = ds.features.copy()
+        features[3, 2], features[50, 0] = np.nan, np.inf
+        bad, out = tmp_path / "bad.ocft", tmp_path / "eval.json"
+        write_features(bad, Dataset(features, ds.labels, ds.ids))
+        split = make_split(ds, 0.5, 0.5, Rng(2, "data"))
+        assert 3 in split.labeled_idx and 50 in split.unlabeled_idx
+        capsys.readouterr()
+        rc = main(["eval", "--data", str(bad), "--checkpoint", str(ckpt),
+                   "--seed", "2", "--out", str(out), "--no-timestamps"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: cannot evaluate non-finite feature row 50\n"
         assert not out.exists()
 
     def test_directory_paths_are_runtime_errors(self, data_file, tmp_path, capsys):
@@ -413,6 +433,81 @@ def test_eval_output_does_not_depend_on_blas_threads(tmp_path):
                 for threads in (1, 2))
     assert json.loads(one)["detection"]
     assert one == two
+
+
+# one argv per subcommand, touching its required, typed, boolean and choice flags
+REPRESENTATIVE_ARGV = {
+    "gen-data": ["--classes", "3", "--per-class", "5", "--dim", "4", "--kappa", "10",
+                 "--out", "d.ocft"],
+    "train": ["--data", "d.ocft", "--epochs", "3", "--lr", "0.1", "--no-warm-start",
+              "--metrics", "m.jsonl", "--checkpoint-out", "c.ockp",
+              "--checkpoint-every", "2"],
+    "eval": ["--data", "d.ocft", "--checkpoint", "c.ockp", "--tau", "0.5", "--seed", "3"],
+    "ablate": ["--data", "d.ocft", "--preset", "p-sweep", "--use-modified-loss"],
+    "estimate-k": ["--data", "d.ocft", "--range", "2:5", "--out", "k.json"],
+    "verify": ["--trials", "3", "--no-timestamps"],
+}
+
+
+class TestParser:
+    def test_argv_table_covers_every_subcommand(self):
+        assert set(REPRESENTATIVE_ARGV) == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(REPRESENTATIVE_ARGV))
+    def test_one_subcommand_parses_like_all(self, command):
+        argv = [command, *REPRESENTATIVE_ARGV[command]]
+        assert vars(make_parser(command).parse_args(argv)) == vars(make_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("command", sorted(REPRESENTATIVE_ARGV))
+    def test_help_is_byte_equal(self, command, capsys):
+        def help_text(parser, argv):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        for argv in (["--help"], [command, "--help"]):
+            assert help_text(make_parser(command), argv) == help_text(make_parser(), argv)
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--bogus", "eval"], ["eval"],
+                                      ["train", "--epochs", "x"]])
+    def test_usage_errors_match_the_full_parser(self, argv, capsys):
+        def usage_error(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 2
+            return capsys.readouterr().err
+
+        assert usage_error(main) == usage_error(make_parser().parse_args)
+
+    def test_handlers_are_looked_up_when_the_parser_is_built(self, monkeypatch):
+        # perfbench times each command by wrapping `cli.cmd_*` in place
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+        assert main(["verify", "--trials", "0"]) == 7
+
+    def test_eval_builds_no_train_flags(self, data_file, tmp_path, monkeypatch):
+        ckpt = tmp_path / "run.ockp"
+        rc = main(train_args(data_file, ["--checkpoint-out", str(ckpt),
+                                         "--metrics", str(tmp_path / "m.jsonl"),
+                                         "--summary", str(tmp_path / "s.json")]))
+        assert rc == 0
+
+        def refuse(parser):
+            raise AssertionError("eval built the training flags")
+
+        monkeypatch.setattr(cli, "_add_train_flags", refuse)
+        rc = main(["eval", "--data", str(data_file), "--checkpoint", str(ckpt),
+                   "--seed", "2", "--out", str(tmp_path / "e.json"), "--no-timestamps"])
+        assert rc == 0
+
+    def test_module_entry_point_reads_sys_argv(self):
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(opencon.__file__).resolve().parent.parent)}
+        done = subprocess.run([sys.executable, "-m", "opencon.cli", "eval", "--help"],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.startswith(b"usage: opencon eval")
+        assert b"--checkpoint" in done.stdout
 
 
 class TestAblateCmd:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opencon.core import Rng, l2_normalize
+from opencon.core import OpenConError, Rng, l2_normalize
 from opencon.data import (
     AugmentConfig,
     BatchSampler,
@@ -11,6 +13,7 @@ from opencon.data import (
     EmptyLabeledSet,
     InvalidDimension,
     ParseError,
+    SplitDataset,
     augment,
     generate_synthetic,
     ingest_features,
@@ -116,6 +119,87 @@ class TestMakeSplit:
             make_split(ds, 0.0, 0.5, Rng(9, "data"))
         with pytest.raises(ValueError):
             make_split(ds, 0.5, 1.5, Rng(9, "data"))
+
+
+
+OVERLAP = "labeled and unlabeled pools overlap"
+PARTITION = "labeled/unlabeled pools do not partition the dataset"
+NON_KNOWN = "a labeled sample carries a non-known class"
+
+
+def split_of(labeled, unlabeled, labels, known):
+    n = len(labels)
+    return SplitDataset(np.zeros((n, 2)), np.asarray(labels, np.int64), np.arange(n),
+                        np.asarray(labeled, np.int64), np.asarray(unlabeled, np.int64),
+                        np.asarray(known, np.int64), np.arange(3))
+
+
+def set_reference(labeled, unlabeled, labels, known):
+    """The set-based split checks that the NumPy ones replaced: the message
+    they raised, or None. They never saw a repeated row."""
+    labels, labeled = np.asarray(labels, np.int64), np.asarray(labeled, np.int64)
+    li, ui = set(labeled.tolist()), set(unlabeled)
+    if li & ui:
+        return OVERLAP
+    if li | ui != set(range(len(labels))):
+        return PARTITION
+    lab_classes = set(labels[labeled].tolist())
+    if not lab_classes <= set(known):
+        return NON_KNOWN
+    return None
+
+
+class TestSplitChecks:
+    @pytest.mark.parametrize("labeled, unlabeled, message", [
+        ([0, 1], [1, 2, 3], OVERLAP),
+        ([0, 1], [3], PARTITION),            # row 2 is in neither pool
+        ([0, 1], [2, -1], PARTITION),        # -1 is no row, not row 3
+        ([0, 1], [2, 3, 4], PARTITION),
+        ([0, 1, 1], [2, 3], "a split pool repeats row 1"),
+        ([0, 1], [3, 2, 3], "a split pool repeats row 3"),
+        ([0, 2], [1, 3], NON_KNOWN),         # row 2 is of class 2
+    ], ids=["overlap", "gap", "negative", "past-n", "repeat-labeled", "repeat-unlabeled",
+            "novel-labeled"])
+    def test_rejections(self, labeled, unlabeled, message):
+        with pytest.raises(OpenConError) as exc:
+            split_of(labeled, unlabeled, [0, 1, 2, 0], known=[0, 1])
+        assert type(exc.value) is OpenConError
+        assert str(exc.value) == message
+
+    def test_repeated_labeled_row_of_a_three_row_pool(self):
+        with pytest.raises(OpenConError, match="repeats row 0"):
+            SplitDataset(np.zeros((3, 2)), np.array([0, 0, 1]), np.arange(3),
+                         np.array([0, 0, 1]), np.array([2]), np.array([0]),
+                         np.array([0, 1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_set_reference(self, data):
+        n = data.draw(st.integers(0, 6), "n")
+        rows = data.draw(st.permutations(range(n)), "rows")
+        cut = data.draw(st.integers(0, n), "cut")
+        stray = st.lists(st.integers(-2, n + 1), max_size=2)
+        gap = data.draw(st.integers(0, 1), "gap")  # 1 leaves row rows[cut - 1] out
+        labeled = rows[:max(cut - gap, 0)] + data.draw(stray, "labeled extra")
+        unlabeled = rows[cut:] + data.draw(stray, "unlabeled extra")
+        if data.draw(st.booleans(), "repeat"):  # list the first row of one pool twice
+            pool = data.draw(st.sampled_from([labeled, unlabeled]), "pool")
+            pool += pool[:1]
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), "labels")
+        known = data.draw(st.lists(st.integers(0, 2), unique=True), "known")
+
+        expected = set_reference(labeled, unlabeled, labels, known)
+        pooled = labeled + unlabeled
+        repeated = sorted(r for r in set(pooled) if pooled.count(r) > 1)
+        if repeated and expected in (None, NON_KNOWN):
+            expected = f"a split pool repeats row {repeated[0]}"
+        if expected is None:
+            split = split_of(labeled, unlabeled, labels, known)
+            assert split.n_labeled + split.n_unlabeled == n
+        else:
+            with pytest.raises(OpenConError) as exc:
+                split_of(labeled, unlabeled, labels, known)
+            assert str(exc.value) == expected
 
 
 class TestAugment:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opencon.core import DegenerateVector, Rng
 from opencon.encoder import (
@@ -79,6 +81,54 @@ class TestForward:
         mlp = Mlp.init(6, 12, 5, Rng(1, "init"))
         with pytest.raises(ShapeMismatch):
             forward(mlp, np.ones(7))
+
+
+def frozen_forward(mlp, x):
+    """forward's body before it worked in place, the bitwise reference:
+    (z, hidden, inv_norm) for a row stack x."""
+    pre1 = x @ mlp.w1.T + mlp.b1
+    hidden = np.maximum(pre1, 0.0)
+    v = hidden @ mlp.w2.T + mlp.b2
+    norms = np.linalg.norm(v, axis=1)
+    inv_norm = 1.0 / norms
+    return v * inv_norm[:, None], hidden, inv_norm
+
+
+def random_mlp(rs, m, h, d):
+    return Mlp(rs.normal(size=(h, m)), rs.normal(size=h), rs.normal(size=(d, h)),
+               rs.normal(size=d))
+
+
+class TestForwardBytes:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.one_of(st.just(1), st.integers(2, 40), st.just(256)),
+           m=st.integers(1, 40), h=st.integers(1, 40), d=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_frozen_body(self, n, m, h, d, seed):
+        rs = np.random.default_rng(seed)
+        mlp, x = random_mlp(rs, m, h, d), rs.normal(size=(n, m))
+        z, tape = forward(mlp, x)
+        ref_z, ref_hidden, ref_inv_norm = frozen_forward(mlp, x)
+        assert z.tobytes() == ref_z.tobytes()
+        assert tape.z is z
+        assert tape.hidden.tobytes() == ref_hidden.tobytes()
+        assert tape.inv_norm.tobytes() == ref_inv_norm.tobytes()
+
+    def test_nan_row_passes_through(self):
+        rs = np.random.default_rng(4)
+        mlp, x = random_mlp(rs, 5, 7, 3), rs.normal(size=(4, 5))
+        x[2, 1] = np.nan
+        z, tape = forward(mlp, x)
+        ref_z, ref_hidden, _ = frozen_forward(mlp, x)
+        assert np.isnan(z[2]).all() and np.isfinite(np.delete(z, 2, axis=0)).all()
+        assert z.tobytes() == ref_z.tobytes()
+        assert tape.hidden.tobytes() == ref_hidden.tobytes()
+
+    def test_zero_output_row_raises(self):
+        # row 1 switches every hidden unit off, and b2 = 0 leaves it at zero
+        mlp = Mlp(np.eye(3), np.zeros(3), np.ones((2, 3)), np.zeros(2))
+        with pytest.raises(DegenerateVector):
+            forward(mlp, np.array([[1.0, 2.0, 3.0], [-1.0, -1.0, -1.0]]))
 
 
 class TestBackward:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opencon import trainer
-from opencon.core import DegenerateVector, InvalidTemperature, Rng
+from opencon.core import DegenerateVector, InvalidTemperature, OpenConError, Rng
 from opencon.data import (
     AugmentConfig,
     BatchSampler,
@@ -427,6 +427,24 @@ class TestPoolEvaluation:
         # mask and rank vectors
         bound = 8 * (8 * EVAL_BLOCK_ROWS * max(h, d) + 16 * n)
         assert peak < bound < n * h * 8 // 4
+
+    @pytest.mark.parametrize("target", ["w1", "b1", "w2", "b2", "prototypes", "row"])
+    def test_non_finite_input_raises_before_its_gemm(self, target, monkeypatch):
+        mlp, store, split = random_model(2, 3 * EVAL_BLOCK_ROWS, 8, 8, 8, n_classes=6,
+                                         n_known=3)
+        row = split.unlabeled_idx[EVAL_BLOCK_ROWS + 5]  # in the second block
+        if target == "row":
+            split.features[row, 1] = np.inf
+            message = f"cannot evaluate non-finite feature row {row}"
+        else:
+            values = store.matrix if target == "prototypes" else getattr(mlp, target)
+            values.flat[-1] = np.nan
+            message = f"cannot evaluate with non-finite {target}"
+        threads, _ = forward_calls(monkeypatch)
+        with pytest.raises(OpenConError) as exc:
+            evaluate_and_detect(mlp, store, split, 0.7)
+        assert str(exc.value) == message
+        assert len(threads) == (1 if target == "row" else 0)
 
 
 SMALL_BLOCK = 32
