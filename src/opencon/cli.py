@@ -232,6 +232,8 @@ def cmd_estimate_k(args) -> int:
     split = _load_split(args, args.seed)
     if int(hi) > (n_rows := split.n_labeled + split.n_unlabeled):
         raise OpenConError(f"--range {args.range!r} exceeds the {n_rows} rows of the data")
+    if not (finite := np.isfinite(split.features).all(axis=1)).all():
+        raise OpenConError(f"cannot estimate k from non-finite feature row {finite.argmin()}")
     candidates = range(int(lo), int(hi) + 1)
     feats = np.concatenate([split.labeled_features(), split.unlabeled_features()])
     labeled_mask = np.concatenate([

@@ -459,8 +459,8 @@ def _read_binary(path) -> Dataset:
     has_labels = int(reader.take((), "u1"))
     if version != FEATURE_VERSION:
         raise ParseError(f"unsupported version {version} (offset 4)")
-    feats = reader.take((n, m), "<f4")
-    labels = reader.take((n,), "<i4") if has_labels else np.full(n, UNLABELED)
+    feats = reader.take((n, m), "<f4", np.float64)
+    labels = reader.take((n,), "<i4", np.int64) if has_labels else np.full(n, UNLABELED)
     reader.done()
     return Dataset(feats, labels, np.arange(n))
 
@@ -507,15 +507,16 @@ class BlockReader:
             raise error(f"bad magic {self._blob[:len(magic)]!r}, expected {magic!r}")
         self._off = len(magic)
 
-    def take(self, shape: tuple[int, ...], dtype: str) -> np.ndarray:
-        """The next block, copied so that it is aligned and writable."""
+    def take(self, shape: tuple[int, ...], dtype: str, as_dtype: type | None = None) -> np.ndarray:
+        """The next block, copied (converted to `as_dtype` when given) so that
+        it is aligned and writable."""
         count = math.prod(shape)
         need = count * np.dtype(dtype).itemsize
         if len(self._blob) < self._off + need:
             raise self._error(f"truncated block at offset {self._off}")
-        arr = np.frombuffer(self._blob, dtype, count, self._off).reshape(shape).copy()
+        arr = np.frombuffer(self._blob, dtype, count, self._off).reshape(shape)
         self._off += need
-        return arr
+        return arr.astype(as_dtype or dtype)
 
     def done(self) -> None:
         """Call after the last block: the file must end exactly there."""

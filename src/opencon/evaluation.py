@@ -161,12 +161,26 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
 def _matched_accuracy(pred: np.ndarray, truth: np.ndarray, n_pred_ids: int,
                       classes: np.ndarray, pin: dict[int, int] | None = None) -> float:
     """Accuracy after the match-count-maximizing injective map from predicted
-    ids to the given class columns."""
-    hit = np.asarray(truth)[:, None] == np.asarray(classes)[None, :]
-    if not hit.any(axis=1).all():
+    ids to the given class columns.
+
+    Raises:
+        ValueError: if a truth label is not in `classes` or a prediction lies
+            outside [0, n_pred_ids).
+    """
+    pred = np.asarray(pred, np.int64)
+    truth = np.asarray(truth)
+    classes = np.asarray(classes)
+    # each truth label's column in `classes`, which need not be sorted
+    sorter = np.argsort(classes, kind="stable")
+    pos = np.searchsorted(classes, truth, sorter=sorter)
+    if np.any(pos == len(classes)) or np.any(classes[sorter[pos]] != truth):
         raise ValueError("truth labels outside the given classes")
-    counts = np.zeros((n_pred_ids, len(classes)))
-    np.add.at(counts, (np.asarray(pred, np.int64), hit.argmax(axis=1)), 1.0)
+    truth_col = sorter[pos]
+    if np.any(bad := (pred < 0) | (pred >= n_pred_ids)):
+        raise ValueError(f"prediction {pred[bad.argmax()]} outside [0, {n_pred_ids})")
+    n_cols = len(classes)
+    counts = np.bincount(pred * n_cols + truth_col, minlength=n_pred_ids * n_cols)
+    counts = counts.reshape(n_pred_ids, n_cols).astype(float)
     cost = -counts
     if pin:
         big = counts.sum() + 1.0

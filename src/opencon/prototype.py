@@ -14,10 +14,8 @@ from opencon.core import (
     as_f64,
     check_temperature,
     l2_normalize,
-    log_sum_exp,
     percentile_threshold,
     sample_uniform_sphere,
-    softmax,
     stable_sum,
 )
 
@@ -221,33 +219,43 @@ def warm_start_known(store: PrototypeStore, labeled_z: np.ndarray,
     return store
 
 
-def ood_scores(z: np.ndarray, store: PrototypeStore, variant: str = "max_cosine",
-               tau: float = 1.0) -> np.ndarray:
+def ood_scores(z: np.ndarray, store: PrototypeStore,
+               variant: str | tuple[str, ...] = "max_cosine",
+               tau: float = 1.0) -> np.ndarray | tuple[np.ndarray, ...]:
     """Per-row in-distribution score against the known prototypes; higher
     means more in-distribution for every variant.
 
     max_cosine: best known cosine; msp: max softmax probability of the known
     logits at temperature tau; energy: tau * logsumexp of the known logits.
+    A tuple of variant names returns one score array per name, in order, all
+    from one product with the known prototypes.
 
     Raises:
         InvalidTemperature: if tau is not finite and > 0, for every variant.
         UnknownVariant: for variants other than max_cosine | msp | energy.
     """
     check_temperature(tau)
+    names = variant if isinstance(variant, tuple) else (variant,)
+    for name in names:
+        if name not in SCORE_VARIANTS:
+            raise UnknownVariant(f"variant {name!r} not in {SCORE_VARIANTS}")
     z2 = as_f64(z)
     single = z2.ndim == 1
-    if single:
-        z2 = z2[None, :]
-    logits = z2 @ store.known_matrix().T
-    if variant == "max_cosine":
-        out = np.max(logits, axis=1)
-    elif variant == "msp":
-        out = np.max(softmax(logits, tau), axis=1)
-    elif variant == "energy":
-        out = tau * log_sum_exp(logits / tau, axis=1)
-    else:
-        raise UnknownVariant(f"variant {variant!r} not in {SCORE_VARIANTS}")
-    return out[0] if single else out
+    logits = (z2[None, :] if single else z2) @ store.known_matrix().T
+    # a max is exact in any order, and down the columns of the transposed copy
+    # it runs as a few long passes instead of one short pass per row
+    top = logits.T.copy().max(axis=0)
+    out = {"max_cosine": top}
+    if "msp" in names or "energy" in names:
+        # rounded division by a positive number is monotone: top / tau is the
+        # max of logits / tau, so the largest e is exp(0) = 1 and the max of
+        # the softmax e / sum is 1 / sum
+        m = top / tau
+        e = np.exp(logits / tau - m[:, None])
+        out["msp"] = 1.0 / np.sum(e, axis=1)
+        out["energy"] = tau * (m + np.log(stable_sum(e, axis=1)))
+    scores = tuple(out[name][0] if single else out[name] for name in names)
+    return scores if isinstance(variant, tuple) else scores[0]
 
 
 @dataclass(frozen=True)
@@ -269,17 +277,20 @@ def detection_metrics(id_scores: np.ndarray, ood_scores_: np.ndarray) -> Detecti
     ood = as_f64(ood_scores_).ravel()
     if id_scores.size == 0 or ood.size == 0:
         raise EmptyScores("detection metrics need both ID and OOD scores")
-    combined = np.concatenate([id_scores, ood])
-    order = np.argsort(combined, kind="stable")
-    sorted_vals = combined[order]
+    n_id, n_ood = id_scores.size, ood.size
+    sorted_id = np.sort(id_scores)
+    # ranks depend only on the values: a stable argsort of the two sorted runs
+    # merges them in one linear pass and still ranks ID NaNs first
+    merged = np.concatenate([sorted_id, np.sort(ood)])
+    order = np.argsort(merged, kind="stable")
+    sorted_vals = merged[order]
     # each run of tied scores shares the mean of the ranks it spans
     starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
-    ends = np.r_[starts[1:], combined.size] - 1
-    ranks = np.empty(combined.size)
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
-    n_id, n_ood = id_scores.size, ood.size
-    u = stable_sum(ranks[:n_id]) - n_id * (n_id + 1) / 2.0
+    ends = np.r_[starts[1:], merged.size] - 1
+    sorted_ranks = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
+    # the ID ranks in sorted order ascend, as stable_sum would add them
+    u = np.sum(sorted_ranks[order < n_id]) - n_id * (n_id + 1) / 2.0
     auroc = u / (n_id * n_ood)
 
-    fpr95 = float(np.mean(ood >= percentile_threshold(id_scores, 95.0)))
+    fpr95 = float(np.mean(ood >= percentile_threshold(sorted_id, 95.0)))
     return DetectionMetrics(float(auroc), fpr95)

@@ -220,8 +220,9 @@ def _pool_pass(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bo
                tau: float | None) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
     """Embed the unlabeled pool once, EVAL_BLOCK_ROWS rows at a time, keeping
     per row only the predicted class (if `predict`) and, when `tau` is given,
-    the score of every detection variant. Past the gate below, a helper thread
-    embeds the odd blocks, each into its own slice, so the outputs stay bitwise.
+    the score of every detection variant, from one `ood_scores` call per block.
+    Past the gate below, a helper thread embeds the odd blocks, each into its
+    own slice, so the outputs stay bitwise.
     Non-finite parameters, prototypes or feature rows raise before their GEMMs."""
     for name, value in {**mlp.params(), "prototypes": store.matrix}.items():
         if not np.isfinite(value).all():
@@ -245,8 +246,9 @@ def _pool_pass(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bo
                 z, _ = forward(mlp, x)
                 if preds is not None:
                     preds[block] = pseudo_labels(z, store)
-                for variant, out in scores.items():
-                    out[block] = ood_scores(z, store, variant, tau)
+                if scores:
+                    for out, s in zip(scores.values(), ood_scores(z, store, tuple(scores), tau)):
+                        out[block] = s
         except BaseException as exc:  # re-raised by the caller once both lanes stop
             failure.append(exc)
 

@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -575,6 +576,28 @@ class TestEstimateK:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --range") and repr(value) in err
+
+    @pytest.mark.parametrize("embed", ["raw", "checkpoint"])
+    def test_rejects_non_finite_features(self, embed, data_file, tmp_path, capsys):
+        ds = ingest_features(data_file)
+        features = ds.features.copy()
+        features[50, 0], features[3, 2] = np.inf, np.nan
+        bad, out = tmp_path / "bad.ocft", tmp_path / "k.json"
+        write_features(bad, Dataset(features, ds.labels, ds.ids))
+        args = ["estimate-k", "--data", str(bad), "--range", "2:8", "--out", str(out)]
+        if embed == "checkpoint":
+            ckpt = tmp_path / "run.ockp"
+            assert main(train_args(data_file, ["--checkpoint-out", str(ckpt),
+                                               "--metrics", str(tmp_path / "m.jsonl"),
+                                               "--summary", str(tmp_path / "s.json")])) == 0
+            args += ["--checkpoint", str(ckpt)]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any NumPy warning
+            assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot estimate k from non-finite feature row 3\n")
+        assert not out.exists()
 
 
 class TestVerify:

@@ -458,3 +458,62 @@ class TestSuite:
         summary = run_verification_suite(trials=1, seed=0)
         assert not summary.passed
         assert any(f.startswith("trial 0:") for f in summary.failures)
+
+
+def matched_accuracy_by_hit_matrix(pred, truth, n_pred_ids, classes, pin=None):
+    """Byte-for-byte oracle: `_matched_accuracy` as an n x C boolean hit
+    matrix and `np.add.at` counts, before counting moved to `np.bincount`."""
+    hit = np.asarray(truth)[:, None] == np.asarray(classes)[None, :]
+    if not hit.any(axis=1).all():
+        raise ValueError("truth labels outside the given classes")
+    counts = np.zeros((n_pred_ids, len(classes)))
+    np.add.at(counts, (np.asarray(pred, np.int64), hit.argmax(axis=1)), 1.0)
+    cost = -counts
+    if pin:
+        big = counts.sum() + 1.0
+        for row, col in pin.items():
+            cost[row] = big
+            cost[row, col] = -counts[row, col]
+    rows, cols = linear_sum_assignment(cost)
+    hit = cost[rows, cols] <= 0
+    return float(counts[rows, cols][hit].sum()) / len(pred)
+
+
+@st.composite
+def unsorted_problems(draw):
+    """Classes in any order, optional pins and, sometimes, one truth label
+    outside the classes."""
+    classes = np.array(draw(st.permutations(
+        draw(st.lists(st.integers(-3, 30), min_size=1, max_size=7, unique=True)))))
+    n_pred_ids = draw(st.integers(1, 9))
+    pred, truth = draw(labelings(classes, n_pred_ids))
+    if draw(st.integers(0, 5)) == 0:
+        truth[draw(st.integers(0, len(truth) - 1))] = 31
+    pins = draw(st.dictionaries(st.integers(0, n_pred_ids - 1),
+                                st.integers(0, len(classes) - 1), max_size=3))
+    return pred, truth, n_pred_ids, classes, pins or None
+
+
+class TestMatchedAccuracyBytes:
+    @settings(max_examples=400, deadline=None)
+    @given(unsorted_problems())
+    def test_equals_hit_matrix_count(self, problem):
+        try:
+            want = matched_accuracy_by_hit_matrix(*problem)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                _matched_accuracy(*problem)
+        else:
+            got = _matched_accuracy(*problem)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("pred, bad", [([-1, -1, 0], -1), ([0, 2, -1], 2), ([1, 0, 7], 7)])
+    def test_prediction_outside_the_rows_raises(self, pred, bad):
+        with pytest.raises(ValueError, match=rf"^prediction {bad} outside \[0, 2\)$"):
+            _matched_accuracy(np.array(pred), np.array([0, 0, 1]), 2, np.array([0, 1]))
+
+    def test_triple_rejects_a_negative_prediction(self):
+        # -1 used to wrap to the last prototype row and score all = novel = 1.0
+        with pytest.raises(ValueError, match=r"prediction -1 outside \[0, 3\)"):
+            accuracy_triple(np.array([-1, -1, 0, 1]), np.array([0, 0, 1, 2]),
+                            np.array([0]), np.array([1, 2]), 3)

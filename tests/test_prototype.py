@@ -6,8 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opencon.core import EmptyScores, InvalidTemperature, OpenConError, Rng, l2_normalize
+from opencon.core import (
+    EmptyScores,
+    InvalidTemperature,
+    OpenConError,
+    Rng,
+    check_temperature,
+    l2_normalize,
+    log_sum_exp,
+    percentile_threshold,
+    softmax,
+    stable_sum,
+)
 from opencon.prototype import (
+    SCORE_VARIANTS,
     DetectionMetrics,
     GateResult,
     PrototypeStore,
@@ -455,3 +467,122 @@ def test_fpr95_equals_ceil_rank(n_id, n_ood, levels, seed):
     ids = rng.normal(size=n_id)
     oods = rng.normal(size=n_ood)
     assert detection_metrics(ids, oods).fpr95 == _fpr95_ceil_rank(ids, oods)
+
+
+# ---------------------------------------------------------------------------
+# Byte-for-byte oracles: the per-variant scoring and the argsort-and-scatter
+# ranking that ood_scores and detection_metrics were before scoring took one
+# known-logits product per call and ranking merged two sorted runs.
+# ---------------------------------------------------------------------------
+
+def ood_scores_per_variant(z, store, variant, tau):
+    """One known-logits product and one score per call."""
+    check_temperature(tau)
+    z2 = np.asarray(z, np.float64)
+    single = z2.ndim == 1
+    if single:
+        z2 = z2[None, :]
+    logits = z2 @ store.known_matrix().T
+    if variant == "max_cosine":
+        out = np.max(logits, axis=1)
+    elif variant == "msp":
+        out = np.max(softmax(logits, tau), axis=1)
+    else:
+        out = tau * log_sum_exp(logits / tau, axis=1)
+    return out[0] if single else out
+
+
+def detection_metrics_by_scatter(id_scores, ood):
+    """AUROC from ranks scattered back through one stable argsort of the
+    concatenated scores; FPR95 at percentile_threshold's ID score."""
+    id_scores = np.asarray(id_scores, np.float64).ravel()
+    ood = np.asarray(ood, np.float64).ravel()
+    combined = np.concatenate([id_scores, ood])
+    order = np.argsort(combined, kind="stable")
+    sorted_vals = combined[order]
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], combined.size] - 1
+    ranks = np.empty(combined.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
+    n_id, n_ood = id_scores.size, ood.size
+    u = stable_sum(ranks[:n_id]) - n_id * (n_id + 1) / 2.0
+    fpr95 = float(np.mean(ood >= percentile_threshold(id_scores, 95.0)))
+    return float(u / (n_id * n_ood)), fpr95
+
+
+def metric_bytes(metrics) -> bytes:
+    return np.array([metrics.auroc, metrics.fpr95]).tobytes()
+
+
+@st.composite
+def scoring_problems(draw):
+    """Unit embeddings (n of 1, 2-40 or 256 rows, or one 1-D row) and a store
+    with at least one known row; tau 0.05 makes exp underflow."""
+    n = draw(st.one_of(st.just(1), st.integers(2, 40), st.just(256)))
+    d = draw(st.integers(1, 16))
+    n_classes = draw(st.integers(1, 8))
+    n_known = draw(st.integers(1, n_classes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = l2_normalize(rng.normal(size=(n, d)) + 1e-3)
+    if draw(st.booleans()):
+        z = z[0]
+    matrix = l2_normalize(rng.normal(size=(n_classes, d)) + 1e-3)
+    store = PrototypeStore(matrix, np.arange(n_known), np.arange(n_known, n_classes))
+    tau = draw(st.sampled_from([0.05, 0.1, 0.7, 1.0, 2.0]))
+    return z, store, tau
+
+
+class TestOodScoresBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(scoring_problems(), st.permutations(SCORE_VARIANTS))
+    def test_tuple_form_matches_per_variant_calls(self, problem, names):
+        z, store, tau = problem
+        got = ood_scores(z, store, tuple(names), tau)
+        assert isinstance(got, tuple) and len(got) == len(names)
+        for name, scores in zip(names, got):
+            want = ood_scores_per_variant(z, store, name, tau)
+            assert np.shape(scores) == np.shape(want)
+            assert np.asarray(scores).tobytes() == np.asarray(want).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(scoring_problems(), st.sampled_from(SCORE_VARIANTS))
+    def test_single_variant_matches_per_variant_call(self, problem, name):
+        z, store, tau = problem
+        got, want = ood_scores(z, store, name, tau), ood_scores_per_variant(z, store, name, tau)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_sub_tuple_and_unknown_name(self):
+        store = identity_store(n_known=2)
+        (energy,) = ood_scores(E1, store, ("energy",), tau=1.0)
+        assert energy == ood_scores(E1, store, "energy", tau=1.0)
+        with pytest.raises(UnknownVariant, match="mahalanobis"):
+            ood_scores(E1, store, ("msp", "mahalanobis"))
+
+
+@st.composite
+def score_pairs(draw):
+    """ID and OOD score sets: continuous, on a few tied levels, all equal, or
+    with NaNs among them."""
+    n_id, n_ood = (draw(st.one_of(st.just(1), st.integers(2, 80))) for _ in "io")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "levels", "equal", "nan"]))
+    if kind == "normal":
+        return rng.normal(size=n_id) + 0.5, rng.normal(size=n_ood)
+    if kind == "equal":
+        return np.full(n_id, 0.25), np.full(n_ood, 0.25)
+    levels = draw(st.integers(1, 6))
+    ids = rng.integers(0, levels, n_id) / levels
+    oods = rng.integers(0, levels, n_ood) / levels
+    if kind == "nan":
+        ids[rng.random(n_id) < 0.3] = np.nan
+        oods[rng.random(n_ood) < 0.3] = np.nan
+    return ids, oods
+
+
+@settings(max_examples=400, deadline=None)
+@given(score_pairs())
+def test_detection_metrics_match_the_scatter_ranking(pair):
+    ids, oods = pair
+    want = np.array(detection_metrics_by_scatter(ids, oods)).tobytes()
+    assert metric_bytes(detection_metrics(ids, oods)) == want

@@ -523,6 +523,25 @@ class TestTwoLanePoolEvaluation:
         assert (failed_in == [threading.get_ident()]) == (lane == "caller")
 
 
+class TestPoolPassScoring:
+    @pytest.mark.parametrize("tau", [None, 0.7])
+    def test_one_scoring_call_per_block(self, tau, monkeypatch):
+        n_pool = 3 * EVAL_BLOCK_ROWS + 7
+        mlp, store, split = random_model(4, n_pool, 8, 8, 8, n_classes=6, n_known=3)
+        calls = []
+
+        def counting_scores(z, store_, variant, tau_):
+            calls.append((len(z), variant))
+            return ood_scores(z, store_, variant, tau_)
+
+        monkeypatch.setattr(trainer, "ood_scores", counting_scores)
+        preds, scores = trainer._pool_pass(mlp, store, split, True, tau)
+        blocks = [EVAL_BLOCK_ROWS] * 3 + [7]
+        assert calls == ([] if tau is None else [(rows, SCORE_VARIANTS) for rows in blocks])
+        assert len(preds) == n_pool
+        assert list(scores) == ([] if tau is None else list(SCORE_VARIANTS))
+
+
 class TestDetectionReport:
     def test_variants_present(self):
         split = tiny_split()
