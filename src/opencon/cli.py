@@ -340,7 +340,7 @@ def make_parser(command: str | None = None) -> argparse.ArgumentParser:
         common(p)
         _add_split_flags(p)
         p.add_argument("--checkpoint", required=True)
-        p.add_argument("--tau", type=float, default=0.7,
+        p.add_argument("--tau", type=float, default=TrainConfig.tau_n,
                        help="temperature for msp/energy detection scores")
 
     if p := add("ablate", cmd_ablate):

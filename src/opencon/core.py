@@ -72,11 +72,18 @@ def l2_normalize(v, out=None) -> np.ndarray:
     return np.divide(v, norms, out=out)
 
 
+def shifted_exp(v, axis: int = -1, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """The max of `v` along `axis` (axis kept) and exp(v - max), written into
+    `out` when given (which may be `v` itself). The largest term is
+    exp(0) = 1, so nothing overflows for finite inputs."""
+    m = np.max(v, axis=axis, keepdims=True)
+    return m, np.exp(np.subtract(v, m, out=out), out=out)
+
+
 def log_sum_exp(v, axis: int = -1) -> np.ndarray | float:
     """Shifted log-sum-exp; overflow-free for any finite inputs."""
-    v = as_f64(v)
-    m = np.max(v, axis=axis, keepdims=True)
-    out = np.squeeze(m, axis=axis) + np.log(stable_sum(np.exp(v - m), axis))
+    m, e = shifted_exp(as_f64(v), axis)
+    out = np.squeeze(m, axis=axis) + np.log(stable_sum(e, axis))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -94,9 +101,7 @@ def softmax(v, tau: float) -> np.ndarray:
         InvalidTemperature: if tau is not finite and > 0.
     """
     check_temperature(tau)
-    v = as_f64(v) / tau
-    v = v - np.max(v, axis=-1, keepdims=True)
-    e = np.exp(v)
+    _, e = shifted_exp(as_f64(v) / tau)
     return e / np.sum(e, axis=-1, keepdims=True)
 
 

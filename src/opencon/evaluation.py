@@ -23,6 +23,7 @@ from opencon.core import (
     l2_normalize,
     sample_uniform_sphere,
     sample_vmf,
+    shifted_exp,
     stable_sum,
 )
 from opencon.prototype import PrototypeStore
@@ -537,8 +538,8 @@ def verify_collision_bound(
     slacks = []
     for x in features:
         s = all_pts @ x / tau
-        m = s.max()
-        log_mix = m + np.log(stable_sum(point_w * np.exp(s - m)))
+        m, e = shifted_exp(s)
+        log_mix = m[0] + np.log(stable_sum(point_w * e))
         slacks.append(log_mix - stable_sum(point_w * s))
     min_slack = float(np.min(slacks))
 

@@ -19,6 +19,7 @@ from opencon.core import (
     as_f64,
     check_temperature,
     log_sum_exp,
+    shifted_exp,
     softmax,
     stable_sum,
 )
@@ -124,25 +125,17 @@ def decompose_alignment(embeddings: np.ndarray, sets: ContrastSets,
     return align, log_sum_exp(sim_row[sets.negatives] / tau)
 
 
-def _same_key_sets(keys: np.ndarray, anchor: int) -> ContrastSets:
-    """Positives = the other views whose key equals the anchor's; negatives =
-    every other view in the batch."""
-    keys = np.asarray(keys)
-    others = np.arange(len(keys)) != anchor
-    return ContrastSets(anchor, np.flatnonzero(others & (keys == keys[anchor])),
+def build_sets_supcon(labels: np.ndarray, anchor: int) -> ContrastSets:
+    """Positives = the other views whose key equals the anchor's: its
+    ground-truth label, or for SimCLR its sample id, so the only positive is
+    the other view of the same sample. Negatives = every other view."""
+    labels = np.asarray(labels)
+    others = np.arange(len(labels)) != anchor
+    return ContrastSets(anchor, np.flatnonzero(others & (labels == labels[anchor])),
                         np.flatnonzero(others))
 
 
-def build_sets_supcon(labels: np.ndarray, anchor: int) -> ContrastSets:
-    """Positives = other views sharing the anchor's ground-truth label;
-    negatives = every other view in the batch."""
-    return _same_key_sets(labels, anchor)
-
-
-def build_sets_simclr(sample_ids: np.ndarray, anchor: int) -> ContrastSets:
-    """Positives = the other view of the same sample; negatives = the rest of
-    the batch."""
-    return _same_key_sets(sample_ids, anchor)
+build_sets_simclr = build_sets_supcon
 
 
 def build_sets_novel(pseudo_labels: np.ndarray, anchor: int) -> ContrastSets:
@@ -152,7 +145,7 @@ def build_sets_novel(pseudo_labels: np.ndarray, anchor: int) -> ContrastSets:
     Raises:
         EmptyPositiveSet: when no other view shares the prediction.
     """
-    sets = _same_key_sets(pseudo_labels, anchor)
+    sets = build_sets_supcon(pseudo_labels, anchor)
     if sets.positives.size == 0:
         raise EmptyPositiveSet(f"anchor {anchor} shares its prediction with no other view")
     return sets
@@ -160,7 +153,7 @@ def build_sets_novel(pseudo_labels: np.ndarray, anchor: int) -> ContrastSets:
 
 def _same_key_contrastive(z: np.ndarray, keys: np.ndarray,
                           tau: float) -> tuple[float, np.ndarray, int]:
-    """Mean anchor loss over a multi-view batch; the batched _same_key_sets.
+    """Mean anchor loss over a multi-view batch; the batched build_sets_supcon.
 
     The positives of anchor a are the other views j with keys[j] == keys[a];
     negatives are always everything but the anchor. Anchors with no positive
@@ -183,12 +176,9 @@ def _same_key_contrastive(z: np.ndarray, keys: np.ndarray,
     # the anchor is no negative of itself; exp(-inf) is exactly 0 and every
     # row keeps a finite maximum, since n >= 2 once an anchor has a positive
     np.fill_diagonal(s, -np.inf)
-    rowmax = np.max(s, axis=1)
-    e = s
-    e -= rowmax[:, None]
-    np.exp(e, out=e)
+    rowmax, e = shifted_exp(s, axis=1, out=s)
     denom = stable_sum(e, axis=1)
-    lse = rowmax + np.log(denom)
+    lse = rowmax[:, 0] + np.log(denom)
     losses = lse - pos_sum / np.maximum(n_pos, 1)
     loss = stable_sum(losses[contrib]) / n_c
 
@@ -204,20 +194,12 @@ def _same_key_contrastive(z: np.ndarray, keys: np.ndarray,
     return float(loss), grad, n_c
 
 
-def loss_supcon(z: np.ndarray, labels: np.ndarray, tau: float):
-    """Supervised contrastive loss over a labeled multi-view batch."""
-    return _same_key_contrastive(z, labels, tau)
-
-
-def loss_simclr(z: np.ndarray, sample_ids: np.ndarray, tau: float):
-    """Self-supervised contrastive loss: the only positive is the paired view."""
-    return _same_key_contrastive(z, sample_ids, tau)
-
-
-def loss_novel(z: np.ndarray, pseudo: np.ndarray, tau: float):
-    """Pseudo-label contrastive loss over the gated novel views; anchors whose
-    prediction is unique in the batch are skipped."""
-    return _same_key_contrastive(z, pseudo, tau)
+# The three contrastive terms differ only in their keys: SupCon passes the
+# ground-truth labels, SimCLR the sample ids (the paired view is the only
+# positive) and the novel term the gated views' pseudo-labels (an anchor whose
+# prediction is unique in the batch is skipped). Each keeps its own module
+# global, which _composite looks up at call time.
+loss_supcon = loss_simclr = loss_novel = _same_key_contrastive
 
 
 def kl_regularizer(z: np.ndarray, prototypes: np.ndarray, tau: float,

@@ -16,6 +16,7 @@ from opencon.core import (
     l2_normalize,
     percentile_threshold,
     sample_uniform_sphere,
+    shifted_exp,
     stable_sum,
 )
 
@@ -92,8 +93,8 @@ def pseudo_labels(z: np.ndarray, store: PrototypeStore) -> np.ndarray:
 
 
 def known_max_scores(z: np.ndarray, store: PrototypeStore) -> np.ndarray:
-    """max over known prototypes of mu . z, per row."""
-    return np.max(as_f64(z) @ store.known_matrix().T, axis=1)
+    """max over known prototypes of mu . z, per row: the max_cosine score."""
+    return ood_scores(z, store)
 
 
 def calibrate_threshold(labeled_z: np.ndarray, store: PrototypeStore,
@@ -247,13 +248,11 @@ def ood_scores(z: np.ndarray, store: PrototypeStore,
     top = logits.T.copy().max(axis=0)
     out = {"max_cosine": top}
     if "msp" in names or "energy" in names:
-        # rounded division by a positive number is monotone: top / tau is the
-        # max of logits / tau, so the largest e is exp(0) = 1 and the max of
-        # the softmax e / sum is 1 / sum
-        m = top / tau
-        e = np.exp(logits / tau - m[:, None])
+        # the largest e is exp(0) = 1, and rounded division is monotone, so
+        # the max of the softmax e / sum is 1 / sum
+        m, e = shifted_exp(logits / tau, axis=1)
         out["msp"] = 1.0 / np.sum(e, axis=1)
-        out["energy"] = tau * (m + np.log(stable_sum(e, axis=1)))
+        out["energy"] = tau * (m[:, 0] + np.log(stable_sum(e, axis=1)))
     scores = tuple(out[name][0] if single else out[name] for name in names)
     return scores if isinstance(variant, tuple) else scores[0]
 

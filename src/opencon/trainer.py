@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opencon.core import OpenConError, Rng, as_f64
+from opencon.core import OpenConError, Rng, as_f64, check_temperature
 from opencon.data import (
     AugmentConfig,
     BatchSampler,
@@ -80,25 +80,25 @@ class TrainConfig:
     epochs: int = 100
     b_l: int = 64
     b_u: int = 64
-    lambda_n: float = 0.1
-    tau_n: float = 0.7
-    lambda_l: float = 0.2
-    tau_l: float = 0.1
-    lambda_u: float = 1.0
-    tau_u: float = 0.4
-    kl_weight: float = 0.05
+    lambda_n: float = LossWeights.lambda_n
+    tau_n: float = LossWeights.tau_n
+    lambda_l: float = LossWeights.lambda_l
+    tau_l: float = LossWeights.tau_l
+    lambda_u: float = LossWeights.lambda_u
+    tau_u: float = LossWeights.tau_u
+    kl_weight: float = LossWeights.kl_weight
     gamma: float = 0.9
     p: float = 70.0
-    lr: float = 0.02
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    lr_decay: float = 0.1
-    milestones: tuple[float, ...] = (0.5, 0.75)
+    lr: float = OptimizerConfig.lr
+    momentum: float = OptimizerConfig.momentum
+    weight_decay: float = OptimizerConfig.weight_decay
+    lr_decay: float = OptimizerConfig.decay_factor
+    milestones: tuple[float, ...] = OptimizerConfig.milestones
     seed: int = 0
     embed_dim: int = 128
     hidden_dim: int = 0          # 0 -> twice the input dim
-    aug_sigma: float = 0.1
-    aug_p_mask: float = 0.1
+    aug_sigma: float = AugmentConfig.sigma
+    aug_p_mask: float = AugmentConfig.p_mask
     n_prototypes: int = 0        # 0 -> number of ground-truth classes
     drop_l: bool = False
     drop_u: bool = False
@@ -267,30 +267,33 @@ def _pool_pass(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bo
     return preds, scores
 
 
-def _accuracy(preds: np.ndarray, store: PrototypeStore, split: SplitDataset) -> AccuracyTriple:
-    return accuracy_triple(preds, split.unlabeled_true_labels(), split.known_classes,
-                           split.novel_classes, store.n_classes)
-
-
-def _known_mask(split: SplitDataset) -> np.ndarray | None:
-    """Which unlabeled rows are true-known, or None when the pool lacks
-    either side and detection has nothing to separate."""
-    is_known = np.isin(split.unlabeled_true_labels(), split.known_classes)
-    return None if is_known.all() or not is_known.any() else is_known
-
-
-def _detections(scores: dict[str, np.ndarray],
-                is_known: np.ndarray) -> dict[str, DetectionMetrics]:
-    return {variant: detection_metrics(s[is_known], s[~is_known])
-            for variant, s in scores.items()}
+def _evaluate(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bool,
+              tau: float | None) -> tuple[AccuracyTriple | None, np.ndarray | None,
+                                          dict[str, DetectionMetrics]]:
+    """One pass over the unlabeled pool: the accuracy triple and predictions
+    if `predict`, and, when `tau` is given, every variant's known-vs-novel
+    detection metrics (true-known unlabeled rows are in-distribution). The
+    metrics are empty when the pool lacks either side; a pass with nothing
+    left to compute does not run."""
+    if tau is not None:
+        check_temperature(tau)
+    truth = split.unlabeled_true_labels()
+    is_known = np.isin(truth, split.known_classes)
+    detect = tau is not None and is_known.any() and not is_known.all()
+    if not (predict or detect):
+        return None, None, {}
+    preds, scores = _pool_pass(mlp, store, split, predict, tau if detect else None)
+    triple = accuracy_triple(preds, truth, split.known_classes, split.novel_classes,
+                             store.n_classes) if predict else None
+    return triple, preds, {variant: detection_metrics(s[is_known], s[~is_known])
+                           for variant, s in scores.items()}
 
 
 def evaluate_model(mlp: Mlp, store: PrototypeStore,
                    split: SplitDataset) -> tuple[AccuracyTriple, np.ndarray]:
     """Transductive accuracy triple on the unlabeled pool: predict by best
     prototype over all classes, then score with optimal assignment."""
-    preds, _ = _pool_pass(mlp, store, split, predict=True, tau=None)
-    return _accuracy(preds, store, split), preds
+    return _evaluate(mlp, store, split, True, None)[:2]
 
 
 def detection_report(mlp: Mlp, store: PrototypeStore, split: SplitDataset,
@@ -298,22 +301,15 @@ def detection_report(mlp: Mlp, store: PrototypeStore, split: SplitDataset,
     """Known-vs-novel separation on the unlabeled pool for every score
     variant (true-known unlabeled samples are in-distribution). Empty when
     the pool lacks either side, e.g. when every known sample is labeled."""
-    is_known = _known_mask(split)
-    if is_known is None:
-        return {}
-    _, scores = _pool_pass(mlp, store, split, predict=False, tau=tau)
-    return _detections(scores, is_known)
+    return _evaluate(mlp, store, split, False, tau)[2]
 
 
 def evaluate_and_detect(mlp: Mlp, store: PrototypeStore, split: SplitDataset,
                         tau: float) -> tuple[AccuracyTriple, dict[str, DetectionMetrics]]:
     """`evaluate_model`'s triple and `detection_report`'s metrics from one
     pass that embeds each unlabeled row once."""
-    is_known = _known_mask(split)
-    if is_known is None:
-        return evaluate_model(mlp, store, split)[0], {}
-    preds, scores = _pool_pass(mlp, store, split, predict=True, tau=tau)
-    return _accuracy(preds, store, split), _detections(scores, is_known)
+    triple, _, detections = _evaluate(mlp, store, split, True, tau)
+    return triple, detections
 
 
 def train_step(mlp: Mlp, optimizer: Optimizer, store: PrototypeStore, config: TrainConfig,

@@ -153,6 +153,27 @@ class TestTrain:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("tau", ["nan", "0", "-1"])
+    def test_eval_rejects_invalid_tau_on_a_one_sided_pool(self, tau, data_file, tmp_path,
+                                                          capsys):
+        # label ratio 1.0 leaves no true-known row in the pool, so no
+        # detection score is computed, and tau must still be checked
+        ckpt = tmp_path / "run.ockp"
+        rc = main(train_args(data_file, ["--checkpoint-out", str(ckpt),
+                                         "--metrics", str(tmp_path / "m.jsonl"),
+                                         "--summary", str(tmp_path / "s.json")]))
+        assert rc == 0
+        capsys.readouterr()
+        out = tmp_path / "eval.json"
+        rc = main(["eval", "--data", str(data_file), "--checkpoint", str(ckpt),
+                   "--label-ratio", "1.0", "--seed", "2", "--tau", tau, "--out", str(out),
+                   "--no-timestamps"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: tau must be finite and > 0")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_eval_rejects_non_finite_features(self, data_file, tmp_path, capsys):
         ckpt = tmp_path / "run.ockp"
         rc = main(train_args(data_file, ["--checkpoint-out", str(ckpt),
@@ -509,6 +530,12 @@ class TestParser:
         assert done.returncode == 0, done.stderr.decode()
         assert done.stdout.startswith(b"usage: opencon eval")
         assert b"--checkpoint" in done.stdout
+
+
+def test_eval_tau_defaults_to_the_training_tau_n():
+    # a train summary's detection and eval's default detection use one tau
+    args = make_parser("eval").parse_args(["eval", "--data", "d", "--checkpoint", "c"])
+    assert args.tau == TrainConfig.tau_n
 
 
 class TestAblateCmd:

@@ -17,6 +17,7 @@ from opencon.core import (
     percentile_threshold,
     sample_uniform_sphere,
     sample_vmf,
+    shifted_exp,
     softmax,
     stable_sum,
 )
@@ -198,6 +199,68 @@ class TestLogSumExp:
 
     def test_large_values(self):
         assert abs(log_sum_exp(np.array([1000.0, 1000.0])) - (1000 + np.log(2))) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Byte-for-byte oracles: softmax and log_sum_exp as they were before both
+# took their max-shifted exponential from shifted_exp.
+# ---------------------------------------------------------------------------
+
+def frozen_softmax(v, tau):
+    v = np.asarray(v, np.float64) / tau
+    v = v - np.max(v, axis=-1, keepdims=True)
+    e = np.exp(v)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def frozen_log_sum_exp(v, axis=-1):
+    v = np.asarray(v, np.float64)
+    m = np.max(v, axis=axis, keepdims=True)
+    out = np.squeeze(m, axis=axis) + np.log(stable_sum(np.exp(v - m), axis))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+@st.composite
+def shift_inputs(draw, axes=(-2, -1, 0, 1)):
+    """A 1-D or 2-D array of magnitude up to 1e3 and an axis of it from
+    `axes`; some entries may be -inf, but every slice along the axis keeps a
+    finite max."""
+    shape = draw(st.sampled_from([(draw(st.integers(1, 40)),),
+                                  (draw(st.integers(1, 8)), draw(st.integers(1, 40)))]))
+    axis = draw(st.sampled_from([a for a in axes if -len(shape) <= a < len(shape)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 1e3])), size=shape)
+    if draw(st.booleans()):
+        masked = rng.random(shape) < 0.3
+        np.moveaxis(masked, axis, 0)[0] = False
+        v[masked] = -np.inf
+    return v, axis
+
+
+class TestShiftedExpBits:
+    @settings(max_examples=300, deadline=None)
+    @given(shift_inputs(axes=(-1,)), st.sampled_from([0.05, 0.7, 1.0, 3.0]))
+    def test_softmax_matches_frozen_body(self, problem, tau):
+        v, _ = problem
+        assert softmax(v, tau).tobytes() == frozen_softmax(v, tau).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(shift_inputs())
+    def test_log_sum_exp_matches_frozen_body(self, problem):
+        v, axis = problem
+        got, want = log_sum_exp(v, axis), frozen_log_sum_exp(v, axis)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(shift_inputs())
+    def test_out_may_alias_the_input(self, problem):
+        v, axis = problem
+        m, e = shifted_exp(v, axis)
+        assert m.tobytes() == np.max(v, axis=axis, keepdims=True).tobytes()
+        m_in, e_in = shifted_exp(v, axis, out=v)
+        assert e_in is v
+        assert m_in.tobytes() == m.tobytes() and v.tobytes() == e.tobytes()
 
 
 class TestStableSum:

@@ -586,3 +586,27 @@ def test_detection_metrics_match_the_scatter_ranking(pair):
     ids, oods = pair
     want = np.array(detection_metrics_by_scatter(ids, oods)).tobytes()
     assert metric_bytes(detection_metrics(ids, oods)) == want
+
+
+def known_max_by_row(z, store):
+    """known_max_scores as it was before it became the max_cosine score: a
+    max along each row of the known logits."""
+    return np.max(np.asarray(z, np.float64) @ store.known_matrix().T, axis=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_known_max_scores_match_the_row_max(data):
+    n = data.draw(st.one_of(st.just(1), st.integers(2, 40), st.just(128)), "n")
+    d = data.draw(st.integers(1, 16), "d")
+    n_classes = data.draw(st.integers(1, 8), "n_classes")
+    n_known = data.draw(st.integers(1, n_classes), "n_known")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    z = l2_normalize(rng.normal(size=(n, d)) + 1e-3)
+    if data.draw(st.booleans(), "nan_row"):
+        z[rng.integers(n)] = np.nan
+    matrix = l2_normalize(rng.normal(size=(n_classes, d)) + 1e-3)
+    store = PrototypeStore(matrix, np.arange(n_known), np.arange(n_known, n_classes))
+    got, want = known_max_scores(z, store), known_max_by_row(z, store)
+    assert got.shape == want.shape == (n,)
+    assert got.tobytes() == want.tobytes()

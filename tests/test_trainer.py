@@ -563,6 +563,41 @@ class TestDetectionReport:
         assert evaluate_and_detect(result.mlp, result.store, split, 0.7) == (triple, {})
 
 
+def test_config_defaults_are_the_sub_config_defaults():
+    config = TrainConfig()
+    assert config.weights == LossWeights()
+    assert config.optimizer_config == OptimizerConfig()
+    assert config.augment_config == AugmentConfig()
+
+
+def one_sided_model():
+    """A random encoder and store, and a split at label ratio 1.0, whose
+    unlabeled pool holds novel samples only."""
+    rng = Rng(0, "data")
+    split = make_split(generate_synthetic(6, 30, 12, 40.0, rng), 0.5, 1.0, rng)
+    assert split.n_unlabeled and not np.isin(split.unlabeled_true_labels(),
+                                             split.known_classes).any()
+    init = Rng(0, "init")
+    return Mlp.init(12, 24, 16, init), init_prototypes(6, 16, init, 3), split
+
+
+class TestOneSidedPool:
+    def test_detection_report_runs_no_pass(self, monkeypatch):
+        mlp, store, split = one_sided_model()
+        threads, _ = forward_calls(monkeypatch)
+        assert detection_report(mlp, store, split, 0.7) == {}
+        assert threads == []
+
+    @pytest.mark.parametrize("tau", [np.nan, 0.0, -1.0, np.inf])
+    def test_invalid_tau_raises_before_any_pass(self, tau, monkeypatch):
+        mlp, store, split = one_sided_model()
+        threads, _ = forward_calls(monkeypatch)
+        for evaluate in (detection_report, evaluate_and_detect):
+            with pytest.raises(InvalidTemperature, match="tau must be finite and > 0"):
+                evaluate(mlp, store, split, tau)
+        assert threads == []
+
+
 class TestCheckpoint:
     def test_resume_matches_straight_run(self, tmp_path):
         split = tiny_split()
