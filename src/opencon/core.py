@@ -72,11 +72,12 @@ def l2_normalize(v, out=None) -> np.ndarray:
     return np.divide(v, norms, out=out)
 
 
-def shifted_exp(v, axis: int = -1, out=None) -> tuple[np.ndarray, np.ndarray]:
+def shifted_exp(v, axis: int = -1, out=None, vmax=None) -> tuple[np.ndarray, np.ndarray]:
     """The max of `v` along `axis` (axis kept) and exp(v - max), written into
-    `out` when given (which may be `v` itself). The largest term is
+    `out` when given (which may be `v` itself). A caller that already holds
+    that max passes it as `vmax`, shaped like it. The largest term is
     exp(0) = 1, so nothing overflows for finite inputs."""
-    m = np.max(v, axis=axis, keepdims=True)
+    m = np.max(v, axis=axis, keepdims=True) if vmax is None else vmax
     return m, np.exp(np.subtract(v, m, out=out), out=out)
 
 

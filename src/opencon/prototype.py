@@ -229,32 +229,52 @@ def ood_scores(z: np.ndarray, store: PrototypeStore,
     max_cosine: best known cosine; msp: max softmax probability of the known
     logits at temperature tau; energy: tau * logsumexp of the known logits.
     A tuple of variant names returns one score array per name, in order, all
-    from one product with the known prototypes.
+    from one product with the known prototypes (`known_logit_scores`).
 
     Raises:
         InvalidTemperature: if tau is not finite and > 0, for every variant.
         UnknownVariant: for variants other than max_cosine | msp | energy.
     """
-    check_temperature(tau)
     names = variant if isinstance(variant, tuple) else (variant,)
-    for name in names:
-        if name not in SCORE_VARIANTS:
-            raise UnknownVariant(f"variant {name!r} not in {SCORE_VARIANTS}")
     z2 = as_f64(z)
     single = z2.ndim == 1
     logits = (z2[None, :] if single else z2) @ store.known_matrix().T
+    scores = known_logit_scores(logits, names, tau)
+    if single:
+        scores = tuple(s[0] for s in scores)
+    return scores if isinstance(variant, tuple) else scores[0]
+
+
+def known_logit_scores(logits: np.ndarray, names: tuple[str, ...],
+                       tau: float) -> tuple[np.ndarray, ...]:
+    """The detection scores `names`, one array per name and in order, of the
+    rows whose logits against the known prototypes are `logits`, an
+    (n, n_known) float64 array that msp and energy overwrite. Each row's
+    scores depend on that row alone, so a stack scores to the bytes of its
+    row blocks.
+
+    Raises:
+        InvalidTemperature: if tau is not finite and > 0.
+        UnknownVariant: for names other than max_cosine | msp | energy.
+    """
+    check_temperature(tau)
+    for name in names:
+        if name not in SCORE_VARIANTS:
+            raise UnknownVariant(f"variant {name!r} not in {SCORE_VARIANTS}")
     # a max is exact in any order, and down the columns of the transposed copy
     # it runs as a few long passes instead of one short pass per row
     top = logits.T.copy().max(axis=0)
     out = {"max_cosine": top}
     if "msp" in names or "energy" in names:
-        # the largest e is exp(0) = 1, and rounded division is monotone, so
-        # the max of the softmax e / sum is 1 / sum
-        m, e = shifted_exp(logits / tau, axis=1)
+        # rounded division by tau > 0 is monotone, so top / tau is the row max
+        # of logits / tau; the largest e is then exp(0) = 1, so the max of the
+        # softmax e / sum is 1 / sum
+        vmax = top / tau
+        _, e = shifted_exp(np.divide(logits, tau, out=logits), axis=1, out=logits,
+                           vmax=vmax[:, None])
         out["msp"] = 1.0 / np.sum(e, axis=1)
-        out["energy"] = tau * (m[:, 0] + np.log(stable_sum(e, axis=1)))
-    scores = tuple(out[name][0] if single else out[name] for name in names)
-    return scores if isinstance(variant, tuple) else scores[0]
+        out["energy"] = tau * (vmax + np.log(stable_sum(e, axis=1)))
+    return tuple(out[name] for name in names)
 
 
 @dataclass(frozen=True)

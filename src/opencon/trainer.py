@@ -42,8 +42,9 @@ from opencon.prototype import (
     calibrate_threshold,
     detection_metrics,
     init_prototypes,
+    known_logit_scores,
     ood_gate,
-    ood_scores,
+    ood_scores,  # noqa: F401  (kept a module attribute, so timing wrappers find it)
     pseudo_labels,
     update_prototypes,
     warm_start_known,
@@ -69,7 +70,8 @@ class Corrupt(OpenConError):
 
 
 class VersionMismatch(OpenConError):
-    """Checkpoint version or dimensions disagree with expectations."""
+    """Checkpoint version, dimensions or known classes disagree with
+    expectations."""
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,8 @@ def _pool_pass(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bo
                tau: float | None) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
     """Embed the unlabeled pool once, EVAL_BLOCK_ROWS rows at a time, keeping
     per row only the predicted class (if `predict`) and, when `tau` is given,
-    the score of every detection variant, from one `ood_scores` call per block.
+    the logits against the known prototypes, which one `known_logit_scores`
+    call turns into every detection variant's score once the pool is done.
     Past the gate below, a helper thread embeds the odd blocks, each into its
     own slice, so the outputs stay bitwise.
     Non-finite parameters, prototypes or feature rows raise before their GEMMs."""
@@ -230,7 +233,9 @@ def _pool_pass(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bo
     rows = split.unlabeled_idx
     n = len(rows)
     preds = np.empty(n, np.int64) if predict else None
-    scores = {variant: np.empty(n) for variant in SCORE_VARIANTS} if tau is not None else {}
+    # the operand layout of ood_scores' product, so each block's logits are its bits
+    known_t = store.known_matrix().T
+    logits = np.empty((n, known_t.shape[1])) if tau is not None else None
     failure = []  # the first exception of either lane; the other stops at its next block
 
     def lane(first: int, lanes: int) -> None:
@@ -246,9 +251,8 @@ def _pool_pass(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bo
                 z, _ = forward(mlp, x)
                 if preds is not None:
                     preds[block] = pseudo_labels(z, store)
-                if scores:
-                    for out, s in zip(scores.values(), ood_scores(z, store, tuple(scores), tau)):
-                        out[block] = s
+                if logits is not None:
+                    logits[block] = z @ known_t
         except BaseException as exc:  # re-raised by the caller once both lanes stop
             failure.append(exc)
 
@@ -264,7 +268,9 @@ def _pool_pass(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bo
         lane(0, 1)
     if failure:
         raise failure[0]
-    return preds, scores
+    if logits is None:
+        return preds, {}
+    return preds, dict(zip(SCORE_VARIANTS, known_logit_scores(logits, SCORE_VARIANTS, tau)))
 
 
 def _evaluate(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bool,
@@ -274,9 +280,15 @@ def _evaluate(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: boo
     if `predict`, and, when `tau` is given, every variant's known-vs-novel
     detection metrics (true-known unlabeled rows are in-distribution). The
     metrics are empty when the pool lacks either side; a pass with nothing
-    left to compute does not run."""
+    left to compute does not run. Known prototype rows are index-aligned with
+    the known class ids, so a split with other known classes raises
+    VersionMismatch, like an invalid tau, before any pass."""
     if tau is not None:
         check_temperature(tau)
+    if not np.array_equal(store.known_ids, split.known_classes):
+        raise VersionMismatch(f"the model's known prototype rows {store.known_ids.tolist()} "
+                              f"are not the split's known classes "
+                              f"{split.known_classes.tolist()}")
     truth = split.unlabeled_true_labels()
     is_known = np.isin(truth, split.known_classes)
     detect = tau is not None and is_known.any() and not is_known.all()

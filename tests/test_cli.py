@@ -353,6 +353,25 @@ class TestTrain:
         assert rc == 0
         assert json.loads(out.read_text())["detection"] == {}
 
+    def test_eval_refuses_other_known_classes(self, data_file, tmp_path, capsys):
+        # trained with 3 of 6 classes known; 0.3 and 0.8 make 1 and 4 known
+        ckpt = tmp_path / "run.ockp"
+        rc = main(train_args(data_file, ["--checkpoint-out", str(ckpt),
+                                         "--metrics", str(tmp_path / "m.jsonl")]))
+        assert rc == 0
+        capsys.readouterr()
+        for known_frac, known in (("0.3", [0]), ("0.8", [0, 1, 2, 3])):
+            out = tmp_path / f"eval-{known_frac}.json"
+            rc = main(["eval", "--data", str(data_file), "--checkpoint", str(ckpt),
+                       "--known-frac", known_frac, "--seed", "2", "--out", str(out),
+                       "--no-timestamps"])
+            assert rc == 1
+            captured = capsys.readouterr()
+            assert captured.err == (f"error: the model's known prototype rows [0, 1, 2] "
+                                    f"are not the split's known classes {known}\n")
+            assert captured.out == ""
+            assert not out.exists()
+
     def test_class_ids_not_from_zero_is_runtime_error(self, data_file, tmp_path, capsys):
         ds = ingest_features(data_file)
         shifted = tmp_path / "shifted.csv"

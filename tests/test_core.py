@@ -262,6 +262,17 @@ class TestShiftedExpBits:
         assert e_in is v
         assert m_in.tobytes() == m.tobytes() and v.tobytes() == e.tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(shift_inputs(), st.booleans())
+    def test_given_max_equals_the_computed_one(self, problem, in_place):
+        v, axis = problem
+        m, e = shifted_exp(v, axis)
+        vmax = np.max(v, axis=axis, keepdims=True)
+        m_given, e_given = shifted_exp(v, axis, out=v if in_place else None, vmax=vmax)
+        assert m_given is vmax
+        assert (e_given is v) == in_place
+        assert m_given.tobytes() == m.tobytes() and e_given.tobytes() == e.tobytes()
+
 
 class TestStableSum:
     def test_permutation_invariant_bitwise(self):

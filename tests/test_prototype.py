@@ -27,6 +27,7 @@ from opencon.prototype import (
     calibrate_threshold,
     detection_metrics,
     init_prototypes,
+    known_logit_scores,
     known_max_scores,
     ood_gate,
     ood_scores,
@@ -558,6 +559,51 @@ class TestOodScoresBytes:
         assert energy == ood_scores(E1, store, "energy", tau=1.0)
         with pytest.raises(UnknownVariant, match="mahalanobis"):
             ood_scores(E1, store, ("msp", "mahalanobis"))
+
+
+BLOCK_ROWS = 256
+
+
+@st.composite
+def logit_stacks(draw):
+    """Known logits of n rows (one row, about a block, or three blocks and a
+    tail) against n_known prototypes: cosines in [-1, 1], about a tenth of
+    the rows with every entry tied, a tenth with the max repeated and a
+    twentieth with one NaN; tau 0.05 makes exp underflow."""
+    n = draw(st.sampled_from([1, 2, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                              3 * BLOCK_ROWS + 7]))
+    n_known = draw(st.sampled_from([1, 5, 8, 9, 50]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.uniform(-1.0, 1.0, size=(n, n_known))
+    kind = rng.random(n)
+    tied = kind < 0.1
+    logits[tied] = rng.uniform(-1.0, 1.0, size=(tied.sum(), 1))
+    repeated = (0.1 <= kind) & (kind < 0.2)
+    logits[repeated, 0] = logits[repeated].max(axis=1)
+    nan = kind >= 0.95
+    logits[nan, rng.integers(0, n_known, nan.sum())] = np.nan
+    return logits, draw(st.sampled_from([0.05, 0.7, 3.0]))
+
+
+class TestKnownLogitScores:
+    @settings(max_examples=300, deadline=None)
+    @given(logit_stacks(), st.permutations(SCORE_VARIANTS))
+    def test_stack_scores_to_the_bytes_of_its_blocks(self, problem, names):
+        logits, tau = problem
+        whole = known_logit_scores(logits.copy(), tuple(names), tau)
+        blocks = [known_logit_scores(logits[start:start + BLOCK_ROWS].copy(), tuple(names),
+                                     tau) for start in range(0, len(logits), BLOCK_ROWS)]
+        assert len(whole) == len(names)
+        for got, want in zip(whole, zip(*blocks)):
+            assert got.shape == (len(logits),)
+            assert got.tobytes() == np.concatenate(want).tobytes()
+
+    def test_checks_names_and_tau(self):
+        logits = np.array([[0.5, -0.25]])
+        with pytest.raises(UnknownVariant, match="mahalanobis"):
+            known_logit_scores(logits, ("msp", "mahalanobis"), 1.0)
+        with pytest.raises(InvalidTemperature):
+            known_logit_scores(logits, ("max_cosine",), 0.0)
 
 
 @st.composite

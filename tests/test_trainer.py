@@ -24,6 +24,7 @@ from opencon.evaluation import accuracy_triple
 from opencon.objective import LossWeights
 from opencon.prototype import (
     SCORE_VARIANTS,
+    PrototypeStore,
     calibrate_threshold,
     detection_metrics,
     init_prototypes,
@@ -523,23 +524,72 @@ class TestTwoLanePoolEvaluation:
         assert (failed_in == [threading.get_ident()]) == (lane == "caller")
 
 
+class CountingEmbedding(np.ndarray):
+    """An embedding block that records the operand shapes of each product
+    taken with it on the left."""
+
+    products: list = []
+
+    def __matmul__(self, other):
+        CountingEmbedding.products.append((len(self), other.shape))
+        return np.asarray(self) @ other
+
+
+def per_block_ood_scores(mlp, store, split, tau):
+    """Every detection variant's score of the pool, from one `forward` and
+    one `ood_scores` call per block of `trainer.EVAL_BLOCK_ROWS` rows."""
+    rows, block = split.unlabeled_idx, trainer.EVAL_BLOCK_ROWS
+    blocks = [ood_scores(forward(mlp, split.features[rows[start:start + block]])[0], store,
+                         SCORE_VARIANTS, tau) for start in range(0, len(rows), block)]
+    return {variant: np.concatenate(scores) for variant, scores in zip(SCORE_VARIANTS,
+                                                                      zip(*blocks))}
+
+
 class TestPoolPassScoring:
     @pytest.mark.parametrize("tau", [None, 0.7])
-    def test_one_scoring_call_per_block(self, tau, monkeypatch):
+    def test_one_product_per_block_and_one_scoring_call(self, tau, monkeypatch):
         n_pool = 3 * EVAL_BLOCK_ROWS + 7
         mlp, store, split = random_model(4, n_pool, 8, 8, 8, n_classes=6, n_known=3)
-        calls = []
+        scoring_calls, score = [], trainer.known_logit_scores
 
-        def counting_scores(z, store_, variant, tau_):
-            calls.append((len(z), variant))
-            return ood_scores(z, store_, variant, tau_)
+        def counting_forward(mlp_, x):
+            z, tape = forward(mlp_, x)
+            return z.view(CountingEmbedding), tape
 
-        monkeypatch.setattr(trainer, "ood_scores", counting_scores)
+        def counting_scores(logits, names, tau_):
+            scoring_calls.append((logits.shape, names, tau_))
+            return score(logits, names, tau_)
+
+        monkeypatch.setattr(trainer, "forward", counting_forward)
+        monkeypatch.setattr(trainer, "known_logit_scores", counting_scores)
+        monkeypatch.setattr(CountingEmbedding, "products", [])
         preds, scores = trainer._pool_pass(mlp, store, split, True, tau)
         blocks = [EVAL_BLOCK_ROWS] * 3 + [7]
-        assert calls == ([] if tau is None else [(rows, SCORE_VARIANTS) for rows in blocks])
+        # pseudo_labels takes its product on a plain array, so only the
+        # known-logits products are counted
+        assert CountingEmbedding.products == (
+            [] if tau is None else [(rows, (8, 3)) for rows in blocks])
+        assert scoring_calls == ([] if tau is None else [((n_pool, 3), SCORE_VARIANTS, tau)])
         assert len(preds) == n_pool
         assert list(scores) == ([] if tau is None else list(SCORE_VARIANTS))
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    @pytest.mark.parametrize("tau", [0.05, 0.7, 3.0])
+    def test_scores_are_the_per_block_ood_scores_bytes(self, lanes, tau):
+        if lanes == 1:
+            mlp, store, split = random_model(5, 3 * EVAL_BLOCK_ROWS + 1, 8, 16, 8,
+                                             n_classes=7, n_known=5)
+            patch = mock.patch.object(trainer, "_usable_cpus", lambda: 1)
+        else:
+            mlp, store, split = random_model(5, 9 * SMALL_BLOCK + 3, 8, 16, 8,
+                                             n_classes=7, n_known=5)
+            patch = two_lanes()
+        with patch:
+            want = per_block_ood_scores(mlp, store, split, tau)
+            _, got = trainer._pool_pass(mlp, store, split, False, tau)
+        assert list(got) == list(SCORE_VARIANTS)
+        for variant in SCORE_VARIANTS:
+            assert got[variant].tobytes() == want[variant].tobytes()
 
 
 class TestDetectionReport:
@@ -595,6 +645,23 @@ class TestOneSidedPool:
         for evaluate in (detection_report, evaluate_and_detect):
             with pytest.raises(InvalidTemperature, match="tau must be finite and > 0"):
                 evaluate(mlp, store, split, tau)
+        assert threads == []
+
+
+class TestKnownRowsMustMatchTheSplit:
+    @pytest.mark.parametrize("known_ids", [[0, 1], [0, 1, 2, 3], [3, 4, 5]])
+    def test_mismatch_raises_before_any_pass(self, known_ids, monkeypatch):
+        mlp, store, split = random_model(6, 40, 8, 8, 8, n_classes=6, n_known=3)
+        other = PrototypeStore(store.matrix, known_ids,
+                               np.setdiff1d(np.arange(6), known_ids))
+        message = (f"the model's known prototype rows {known_ids} are not the "
+                   f"split's known classes [0, 1, 2]")
+        threads, _ = forward_calls(monkeypatch)
+        for evaluate, tau in ((evaluate_model, ()), (detection_report, (0.7,)),
+                              (evaluate_and_detect, (0.7,))):
+            with pytest.raises(VersionMismatch) as exc:
+                evaluate(mlp, other, split, *tau)
+            assert str(exc.value) == message
         assert threads == []
 
 
