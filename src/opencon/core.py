@@ -138,9 +138,7 @@ class Rng(np.random.Generator):
     def __init__(self, seed: int, stream: str = "data"):
         if stream not in STREAMS:
             raise UnknownStream(f"unknown stream {stream!r}, expected one of {STREAMS}")
-        self.seed = int(seed)
-        self.stream = stream
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(STREAMS.index(stream),))
+        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(STREAMS.index(stream),))
         super().__init__(np.random.PCG64(ss))
 
     # PCG64 state as plain ints, for binary checkpoints

@@ -275,17 +275,12 @@ class MultiViewBatch:
     sample k sit at rows 2k and 2k+1."""
 
     sample_ids: np.ndarray  # (2b,)
-    view_index: np.ndarray  # (2b,) 0 or 1
     inputs: np.ndarray      # (2b, m) augmented
     labels: np.ndarray      # (2b,) int64, -1 = none
 
     @property
     def n_views(self) -> int:
         return len(self.sample_ids)
-
-    @property
-    def n_samples(self) -> int:
-        return self.n_views // 2
 
 
 def _two_views(
@@ -295,12 +290,10 @@ def _two_views(
     rng_augment: Rng,
     cfg: AugmentConfig,
 ) -> MultiViewBatch:
-    b = len(sample_ids)
-    rep = np.repeat(np.arange(b), 2)
+    rep = np.repeat(np.arange(len(sample_ids)), 2)
     views = augment(features[rep], rng_augment, cfg)
     return MultiViewBatch(
         sample_ids=np.asarray(sample_ids, np.int64)[rep],
-        view_index=np.tile(np.array([0, 1], np.int64), b),
         inputs=views,
         labels=np.asarray(labels, np.int64)[rep],
     )

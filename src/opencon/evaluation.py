@@ -160,7 +160,7 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
 
 
 def _matched_accuracy(pred: np.ndarray, truth: np.ndarray, n_pred_ids: int,
-                      classes: np.ndarray, pin: dict[int, int] | None = None) -> float:
+                      classes: np.ndarray) -> float:
     """Accuracy after the match-count-maximizing injective map from predicted
     ids to the given class columns.
 
@@ -182,17 +182,9 @@ def _matched_accuracy(pred: np.ndarray, truth: np.ndarray, n_pred_ids: int,
     n_cols = len(classes)
     counts = np.bincount(pred * n_cols + truth_col, minlength=n_pred_ids * n_cols)
     counts = counts.reshape(n_pred_ids, n_cols).astype(float)
-    cost = -counts
-    if pin:
-        big = counts.sum() + 1.0
-        for row, col in pin.items():
-            cost[row] = big
-            cost[row, col] = -counts[row, col]
-    # counts are integers, so any optimal assignment gives the exact matched
-    # count; pin-penalty cells (positive cost) match nothing
-    rows, cols = linear_sum_assignment(cost)
-    hit = cost[rows, cols] <= 0
-    return float(counts[rows, cols][hit].sum()) / len(pred)
+    # counts are integers, so any optimal assignment gives the exact matched count
+    rows, cols = linear_sum_assignment(-counts)
+    return float(counts[rows, cols].sum()) / len(pred)
 
 
 def accuracy_triple(
@@ -201,7 +193,6 @@ def accuracy_triple(
     known_classes: np.ndarray,
     novel_classes: np.ndarray,
     n_prototypes: int,
-    pin_known: bool = False,
 ) -> AccuracyTriple:
     """The seen/novel/overall accuracy triple on an evaluation pool.
 
@@ -210,7 +201,7 @@ def accuracy_triple(
     novel: accuracy on true-novel samples after optimally relabeling
     predicted ids against the novel classes.
     all: accuracy over everything after one optimal relabeling against all
-    classes; `pin_known` forces known rows to keep their aligned class.
+    classes.
 
     Raises:
         EmptyEvaluationSet: if there are no samples.
@@ -231,11 +222,7 @@ def accuracy_triple(
                           n_prototypes, novel_classes)
         if novel_mask.any() else 0.0
     )
-    pin = None
-    if pin_known:
-        col_of = {int(c): j for j, c in enumerate(all_classes)}
-        pin = {int(c): col_of[int(c)] for c in known_classes}
-    all_acc = _matched_accuracy(predictions, truth, n_prototypes, all_classes, pin=pin)
+    all_acc = _matched_accuracy(predictions, truth, n_prototypes, all_classes)
     return AccuracyTriple(all_acc, novel_acc, seen_acc)
 
 

@@ -69,11 +69,9 @@ class PrototypeStore:
 
 @dataclass(frozen=True)
 class GateResult:
-    """Partition of the unlabeled views into gated-novel and predicted-known."""
+    """The unlabeled views the novelty gate passes as novel."""
 
     novel_view_ids: np.ndarray
-    rejected_view_ids: np.ndarray
-    threshold: float
 
 
 def init_prototypes(n_classes: int, d: int, rng: Rng, n_known: int = 0) -> PrototypeStore:
@@ -92,11 +90,6 @@ def pseudo_labels(z: np.ndarray, store: PrototypeStore) -> np.ndarray:
     return np.argmax(as_f64(z) @ store.matrix.T, axis=1)
 
 
-def known_max_scores(z: np.ndarray, store: PrototypeStore) -> np.ndarray:
-    """max over known prototypes of mu . z, per row: the max_cosine score."""
-    return ood_scores(z, store)
-
-
 def calibrate_threshold(labeled_z: np.ndarray, store: PrototypeStore,
                         p: float) -> float:
     """Novelty threshold from the labeled views' known-prototype scores.
@@ -113,19 +106,13 @@ def calibrate_threshold(labeled_z: np.ndarray, store: PrototypeStore,
         raise EmptyScores("cannot calibrate a threshold without labeled views")
     if p == 0:
         return np.inf
-    return percentile_threshold(known_max_scores(labeled_z, store), p)
+    return percentile_threshold(ood_scores(labeled_z, store), p)
 
 
 def ood_gate(z_u: np.ndarray, store: PrototypeStore, threshold: float) -> GateResult:
     """Mark unlabeled views as novel when their best known-prototype cosine
-    falls strictly below the threshold."""
-    scores = known_max_scores(z_u, store)
-    novel = scores < threshold
-    return GateResult(
-        np.flatnonzero(novel).astype(np.int64),
-        np.flatnonzero(~novel).astype(np.int64),
-        float(threshold),
-    )
+    (the max_cosine score) falls strictly below the threshold."""
+    return GateResult(np.flatnonzero(ood_scores(z_u, store) < threshold).astype(np.int64))
 
 
 def update_prototypes(
@@ -220,29 +207,23 @@ def warm_start_known(store: PrototypeStore, labeled_z: np.ndarray,
     return store
 
 
-def ood_scores(z: np.ndarray, store: PrototypeStore,
-               variant: str | tuple[str, ...] = "max_cosine",
-               tau: float = 1.0) -> np.ndarray | tuple[np.ndarray, ...]:
+def ood_scores(z: np.ndarray, store: PrototypeStore, variant: str = "max_cosine",
+               tau: float = 1.0) -> np.ndarray:
     """Per-row in-distribution score against the known prototypes; higher
     means more in-distribution for every variant.
 
     max_cosine: best known cosine; msp: max softmax probability of the known
     logits at temperature tau; energy: tau * logsumexp of the known logits.
-    A tuple of variant names returns one score array per name, in order, all
-    from one product with the known prototypes (`known_logit_scores`).
 
     Raises:
         InvalidTemperature: if tau is not finite and > 0, for every variant.
         UnknownVariant: for variants other than max_cosine | msp | energy.
     """
-    names = variant if isinstance(variant, tuple) else (variant,)
     z2 = as_f64(z)
     single = z2.ndim == 1
     logits = (z2[None, :] if single else z2) @ store.known_matrix().T
-    scores = known_logit_scores(logits, names, tau)
-    if single:
-        scores = tuple(s[0] for s in scores)
-    return scores if isinstance(variant, tuple) else scores[0]
+    scores, = known_logit_scores(logits, (variant,), tau)
+    return scores[0] if single else scores
 
 
 def known_logit_scores(logits: np.ndarray, names: tuple[str, ...],

@@ -273,6 +273,15 @@ def _pool_pass(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bo
     return preds, dict(zip(SCORE_VARIANTS, known_logit_scores(logits, SCORE_VARIANTS, tau)))
 
 
+def _check_known_rows(store: PrototypeStore, split: SplitDataset) -> None:
+    """Known prototype rows are index-aligned with the known class ids, so a
+    split with other known classes raises VersionMismatch."""
+    if not np.array_equal(store.known_ids, split.known_classes):
+        raise VersionMismatch(f"the model's known prototype rows {store.known_ids.tolist()} "
+                              f"are not the split's known classes "
+                              f"{split.known_classes.tolist()}")
+
+
 def _evaluate(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bool,
               tau: float | None) -> tuple[AccuracyTriple | None, np.ndarray | None,
                                           dict[str, DetectionMetrics]]:
@@ -280,15 +289,12 @@ def _evaluate(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: boo
     if `predict`, and, when `tau` is given, every variant's known-vs-novel
     detection metrics (true-known unlabeled rows are in-distribution). The
     metrics are empty when the pool lacks either side; a pass with nothing
-    left to compute does not run. Known prototype rows are index-aligned with
-    the known class ids, so a split with other known classes raises
-    VersionMismatch, like an invalid tau, before any pass."""
+    left to compute does not run. A split whose known classes are not the
+    known prototype rows raises VersionMismatch, like an invalid tau, before
+    any pass."""
     if tau is not None:
         check_temperature(tau)
-    if not np.array_equal(store.known_ids, split.known_classes):
-        raise VersionMismatch(f"the model's known prototype rows {store.known_ids.tolist()} "
-                              f"are not the split's known classes "
-                              f"{split.known_classes.tolist()}")
+    _check_known_rows(store, split)
     truth = split.unlabeled_true_labels()
     is_known = np.isin(truth, split.known_classes)
     detect = tau is not None and is_known.any() and not is_known.all()
@@ -374,6 +380,8 @@ def train(
     Raises:
         ValueError: if checkpoint_every is given and < 1, or without a
             checkpoint_path; if eval_every > 0 with an empty unlabeled pool.
+        VersionMismatch: if the known prototype rows, fresh or resumed, are not
+            the split's known classes.
         TrainingDiverged: on the first non-finite loss, with diagnostics.
     """
     if checkpoint_every is not None:
@@ -414,6 +422,7 @@ def train(
         mlp = Mlp.init(m, h, d, rngs["init"])
         store = init_prototypes(n_protos, d, rngs["init"], n_known)
         first_epoch = 0
+    _check_known_rows(store, split)
     optimizer = Optimizer(config.optimizer_config, mlp)
     if start_state is not None:
         optimizer.velocity = Grads(*dataclasses.astuple(start_state.velocity))

@@ -372,6 +372,35 @@ class TestTrain:
             assert captured.out == ""
             assert not out.exists()
 
+    @pytest.mark.parametrize("eval_every", [[], ["--eval-every", "0"]])
+    def test_resume_refuses_other_known_classes(self, eval_every, data_file, tmp_path,
+                                                capsys, monkeypatch):
+        # the epoch-4 checkpoint of a 6-epoch run with 3 of 6 classes known,
+        # resumed on a split where 0.34 makes 2 known
+        ckpt = tmp_path / "mid.ockp"
+        split = make_split(ingest_features(data_file), 0.5, 0.5, Rng(2, "data"))
+        config = TrainConfig(epochs=6, b_l=8, b_u=8, embed_dim=16, seed=2)
+        train(config, split, checkpoint_path=ckpt, checkpoint_every=4)
+        steps, step = [], trainer.train_step
+
+        def counting_step(*args, **kwargs):
+            steps.append(args)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train_step", counting_step)
+        outputs = [tmp_path / name for name in ("m.jsonl", "s.json", "out.ockp")]
+        rc = main(train_args(data_file, [
+            "--epochs", "6", "--known-frac", "0.34", "--resume", str(ckpt),
+            "--metrics", str(outputs[0]), "--summary", str(outputs[1]),
+            "--checkpoint-out", str(outputs[2]), "--checkpoint-every", "1", *eval_every]))
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: the model's known prototype rows [0, 1, 2] "
+                                "are not the split's known classes [0, 1]\n")
+        assert captured.out == ""
+        assert steps == []
+        assert not any(path.exists() for path in outputs)
+
     def test_class_ids_not_from_zero_is_runtime_error(self, data_file, tmp_path, capsys):
         ds = ingest_features(data_file)
         shifted = tmp_path / "shifted.csv"

@@ -48,7 +48,8 @@ def brute_force_assignment(cost):
 def assignment_costs(draw):
     """Rectangular cost matrices, empty and single-row/column shapes included:
     floats, small integers (many ties), one repeated value, and negated
-    counts with the pin penalty rows `_matched_accuracy` builds."""
+    counts with some rows replaced by a penalty row that leaves one cell at
+    its negated count (a solver input with positive costs and many ties)."""
     n, m = draw(st.integers(0, 9)), draw(st.integers(0, 9))
     kind = draw(st.sampled_from(["float", "int", "tied", "pinned"]))
     if kind == "float":
@@ -181,29 +182,14 @@ class TestAccuracyTriple:
         with pytest.raises(EmptyEvaluationSet):
             accuracy_triple([], [], [0], [1], 2)
 
-    def test_pin_known_mode(self):
-        # known row predicted wrong cannot be rescued by rematching when pinned
-        preds = [1, 1]
-        truth = [0, 0]
-        free = accuracy_triple(preds, truth, [0, 1], [2], 3, pin_known=False)
-        pinned = accuracy_triple(preds, truth, [0, 1], [2], 3, pin_known=True)
-        assert free.all == 1.0
-        assert pinned.all == 0.0
 
-
-def matched_accuracy_via_hungarian(pred, truth, n_pred_ids, classes, pin=None):
+def matched_accuracy_via_hungarian(pred, truth, n_pred_ids, classes):
     """Reference: the matched count read off hungarian's assignment."""
     col_of = {int(c): j for j, c in enumerate(classes)}
     counts = np.zeros((n_pred_ids, len(classes)))
     for p, t in zip(pred, truth):
         counts[p, col_of[t]] += 1
-    cost = -counts
-    if pin:
-        big = counts.sum() + 1.0
-        for row, col in pin.items():
-            cost[row] = big
-            cost[row, col] = -counts[row, col]
-    assign = hungarian(cost)
+    assign = hungarian(-counts)
     matched = sum(counts[r, assign[r]] for r in range(n_pred_ids) if assign[r] >= 0)
     return float(matched) / len(pred)
 
@@ -228,17 +214,6 @@ def free_problems(draw):
 
 
 @st.composite
-def pinned_problems(draw):
-    # accuracy_triple(pin_known=True): known rows keep their aligned class
-    n_classes = draw(st.integers(1, 5))
-    classes = np.arange(n_classes)
-    n_pred_ids = draw(st.integers(n_classes, n_classes + 3))
-    n_known = draw(st.integers(0, n_classes))
-    pred, truth = draw(labelings(classes, n_pred_ids))
-    return pred, truth, n_pred_ids, classes, {c: c for c in range(n_known)}
-
-
-@st.composite
 def cluster_problems(draw):
     # estimate_class_number: k cluster ids scored against the labeled classes
     truth = np.array(draw(st.lists(st.integers(0, 6), min_size=1, max_size=40)))
@@ -255,13 +230,6 @@ class TestMatchedAccuracy:
         assert _matched_accuracy(*problem) == matched_accuracy_via_hungarian(*problem)
 
     @settings(max_examples=300, deadline=None)
-    @given(pinned_problems())
-    def test_equals_hungarian_count_pinned(self, problem):
-        pred, truth, n_pred_ids, classes, pin = problem
-        assert (_matched_accuracy(pred, truth, n_pred_ids, classes, pin=pin)
-                == matched_accuracy_via_hungarian(pred, truth, n_pred_ids, classes, pin))
-
-    @settings(max_examples=300, deadline=None)
     @given(cluster_problems())
     def test_equals_hungarian_count_cluster_shape(self, problem):
         assert _matched_accuracy(*problem) == matched_accuracy_via_hungarian(*problem)
@@ -274,8 +242,7 @@ class TestMatchedAccuracy:
         pred = np.array([0, 0, 1, 2])
         truth = np.array([7, 7, 3, 5])
         classes = np.array([7, 3, 5])
-        assert _matched_accuracy(pred, truth, 3, classes, pin={0: 0}) == 1.0
-        assert _matched_accuracy(pred, truth, 3, classes, pin={0: 1}) == 0.25
+        assert _matched_accuracy(pred, truth, 3, classes) == 1.0
 
 
 class TestSphericalKmeans:
@@ -460,7 +427,7 @@ class TestSuite:
         assert any(f.startswith("trial 0:") for f in summary.failures)
 
 
-def matched_accuracy_by_hit_matrix(pred, truth, n_pred_ids, classes, pin=None):
+def matched_accuracy_by_hit_matrix(pred, truth, n_pred_ids, classes):
     """Byte-for-byte oracle: `_matched_accuracy` as an n x C boolean hit
     matrix and `np.add.at` counts, before counting moved to `np.bincount`."""
     hit = np.asarray(truth)[:, None] == np.asarray(classes)[None, :]
@@ -468,30 +435,21 @@ def matched_accuracy_by_hit_matrix(pred, truth, n_pred_ids, classes, pin=None):
         raise ValueError("truth labels outside the given classes")
     counts = np.zeros((n_pred_ids, len(classes)))
     np.add.at(counts, (np.asarray(pred, np.int64), hit.argmax(axis=1)), 1.0)
-    cost = -counts
-    if pin:
-        big = counts.sum() + 1.0
-        for row, col in pin.items():
-            cost[row] = big
-            cost[row, col] = -counts[row, col]
-    rows, cols = linear_sum_assignment(cost)
-    hit = cost[rows, cols] <= 0
-    return float(counts[rows, cols][hit].sum()) / len(pred)
+    rows, cols = linear_sum_assignment(-counts)
+    return float(counts[rows, cols].sum()) / len(pred)
 
 
 @st.composite
 def unsorted_problems(draw):
-    """Classes in any order, optional pins and, sometimes, one truth label
-    outside the classes."""
+    """Classes in any order and, sometimes, one truth label outside the
+    classes."""
     classes = np.array(draw(st.permutations(
         draw(st.lists(st.integers(-3, 30), min_size=1, max_size=7, unique=True)))))
     n_pred_ids = draw(st.integers(1, 9))
     pred, truth = draw(labelings(classes, n_pred_ids))
     if draw(st.integers(0, 5)) == 0:
         truth[draw(st.integers(0, len(truth) - 1))] = 31
-    pins = draw(st.dictionaries(st.integers(0, n_pred_ids - 1),
-                                st.integers(0, len(classes) - 1), max_size=3))
-    return pred, truth, n_pred_ids, classes, pins or None
+    return pred, truth, n_pred_ids, classes
 
 
 class TestMatchedAccuracyBytes:

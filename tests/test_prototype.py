@@ -28,7 +28,6 @@ from opencon.prototype import (
     detection_metrics,
     init_prototypes,
     known_logit_scores,
-    known_max_scores,
     ood_gate,
     ood_scores,
     pseudo_labels,
@@ -121,7 +120,7 @@ class TestCalibrate:
         views = np.stack([unit_with_first_coord(s) for s in (0.2, 0.4, 0.6, 0.8)])
         lam = calibrate_threshold(views, store, 50)
         assert lam == pytest.approx(0.6, abs=1e-12)
-        scores = known_max_scores(views, store)
+        scores = ood_scores(views, store)
         assert np.mean(scores >= lam) == 0.5
 
     def test_p100_is_min(self):
@@ -137,7 +136,6 @@ class TestCalibrate:
         gate = ood_gate(np.stack([unit_with_first_coord(s) for s in (0.1, 0.99)]),
                         store, lam)
         assert gate.novel_view_ids.tolist() == [0, 1]
-        assert gate.rejected_view_ids.size == 0
 
     def test_empty_raises(self):
         with pytest.raises(EmptyScores):
@@ -150,7 +148,6 @@ class TestGate:
         views = np.stack([unit_with_first_coord(0.9), unit_with_first_coord(0.1)])
         gate = ood_gate(views, store, 0.5)
         assert gate.novel_view_ids.tolist() == [1]
-        assert gate.rejected_view_ids.tolist() == [0]
 
     def test_exact_threshold_rejected(self):
         store = identity_store()
@@ -164,15 +161,13 @@ class TestGate:
         views = l2_normalize(rng.normal(size=(20, 4)))
         for lam in (-np.inf, 0.0, 0.5, np.inf):
             gate = ood_gate(views, store, lam)
-            merged = np.sort(np.concatenate([gate.novel_view_ids,
-                                             gate.rejected_view_ids]))
-            np.testing.assert_array_equal(merged, np.arange(20))
+            np.testing.assert_array_equal(gate.novel_view_ids,
+                                          np.flatnonzero(ood_scores(views, store) < lam))
 
     def test_empty_batch(self):
         gate = ood_gate(np.zeros((0, 2)), identity_store(), 0.5)
-        for ids in (gate.novel_view_ids, gate.rejected_view_ids):
-            assert ids.dtype == np.int64 and ids.shape == (0,)
-        assert gate.threshold == 0.5
+        assert gate.novel_view_ids.dtype == np.int64
+        assert gate.novel_view_ids.shape == (0,)
 
     def test_monotone_in_p(self):
         rng = Rng(6, "data")
@@ -535,30 +530,12 @@ def scoring_problems(draw):
 
 class TestOodScoresBytes:
     @settings(max_examples=300, deadline=None)
-    @given(scoring_problems(), st.permutations(SCORE_VARIANTS))
-    def test_tuple_form_matches_per_variant_calls(self, problem, names):
-        z, store, tau = problem
-        got = ood_scores(z, store, tuple(names), tau)
-        assert isinstance(got, tuple) and len(got) == len(names)
-        for name, scores in zip(names, got):
-            want = ood_scores_per_variant(z, store, name, tau)
-            assert np.shape(scores) == np.shape(want)
-            assert np.asarray(scores).tobytes() == np.asarray(want).tobytes()
-
-    @settings(max_examples=300, deadline=None)
     @given(scoring_problems(), st.sampled_from(SCORE_VARIANTS))
     def test_single_variant_matches_per_variant_call(self, problem, name):
         z, store, tau = problem
         got, want = ood_scores(z, store, name, tau), ood_scores_per_variant(z, store, name, tau)
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-    def test_sub_tuple_and_unknown_name(self):
-        store = identity_store(n_known=2)
-        (energy,) = ood_scores(E1, store, ("energy",), tau=1.0)
-        assert energy == ood_scores(E1, store, "energy", tau=1.0)
-        with pytest.raises(UnknownVariant, match="mahalanobis"):
-            ood_scores(E1, store, ("msp", "mahalanobis"))
 
 
 BLOCK_ROWS = 256
@@ -635,8 +612,7 @@ def test_detection_metrics_match_the_scatter_ranking(pair):
 
 
 def known_max_by_row(z, store):
-    """known_max_scores as it was before it became the max_cosine score: a
-    max along each row of the known logits."""
+    """The max_cosine score as a max along each row of the known logits."""
     return np.max(np.asarray(z, np.float64) @ store.known_matrix().T, axis=1)
 
 
@@ -653,6 +629,6 @@ def test_known_max_scores_match_the_row_max(data):
         z[rng.integers(n)] = np.nan
     matrix = l2_normalize(rng.normal(size=(n_classes, d)) + 1e-3)
     store = PrototypeStore(matrix, np.arange(n_known), np.arange(n_known, n_classes))
-    got, want = known_max_scores(z, store), known_max_by_row(z, store)
+    got, want = ood_scores(z, store), known_max_by_row(z, store)
     assert got.shape == want.shape == (n,)
     assert got.tobytes() == want.tobytes()

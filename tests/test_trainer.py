@@ -536,13 +536,14 @@ class CountingEmbedding(np.ndarray):
 
 
 def per_block_ood_scores(mlp, store, split, tau):
-    """Every detection variant's score of the pool, from one `forward` and
-    one `ood_scores` call per block of `trainer.EVAL_BLOCK_ROWS` rows."""
+    """Every detection variant's score of the pool, from one `forward` per
+    block of `trainer.EVAL_BLOCK_ROWS` rows and one `ood_scores` call per
+    block and variant."""
     rows, block = split.unlabeled_idx, trainer.EVAL_BLOCK_ROWS
-    blocks = [ood_scores(forward(mlp, split.features[rows[start:start + block]])[0], store,
-                         SCORE_VARIANTS, tau) for start in range(0, len(rows), block)]
-    return {variant: np.concatenate(scores) for variant, scores in zip(SCORE_VARIANTS,
-                                                                      zip(*blocks))}
+    blocks = [forward(mlp, split.features[rows[start:start + block]])[0]
+              for start in range(0, len(rows), block)]
+    return {variant: np.concatenate([ood_scores(z, store, variant, tau) for z in blocks])
+            for variant in SCORE_VARIANTS}
 
 
 class TestPoolPassScoring:
@@ -663,6 +664,27 @@ class TestKnownRowsMustMatchTheSplit:
                 evaluate(mlp, other, split, *tau)
             assert str(exc.value) == message
         assert threads == []
+
+    @pytest.mark.parametrize("eval_every", [0, 1])
+    def test_fresh_training_refuses_before_any_step(self, eval_every, monkeypatch):
+        # a fresh store's known rows are 0 and 1, the split's known classes 1 and 2
+        split = tiny_split()
+        labeled = np.flatnonzero(np.isin(split.labels, [1, 2]))[::2]
+        other = SplitDataset(split.features, split.labels, split.ids, labeled,
+                             np.setdiff1d(np.arange(len(split.labels)), labeled),
+                             np.array([1, 2]), split.all_classes)
+        steps, step = [], trainer.train_step
+
+        def counting_step(*args, **kwargs):
+            steps.append(args)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train_step", counting_step)
+        with pytest.raises(VersionMismatch) as exc:
+            train(tiny_config(eval_every=eval_every), other)
+        assert str(exc.value) == ("the model's known prototype rows [0, 1] are not the "
+                                  "split's known classes [1, 2]")
+        assert steps == []
 
 
 class TestCheckpoint:
