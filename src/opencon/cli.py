@@ -29,7 +29,6 @@ from opencon.data import (  # noqa: E402
     open_atomic,
     write_features,
 )
-from opencon.encoder import forward  # noqa: E402
 from opencon.evaluation import (  # noqa: E402
     converged_cluster_count,
     estimate_class_number,
@@ -38,6 +37,7 @@ from opencon.evaluation import (  # noqa: E402
 from opencon.trainer import (  # noqa: E402
     ABLATION_PRESETS,
     TrainConfig,
+    _embed_rows,
     ablate,
     checkpoint_load,
     checkpoint_save,
@@ -235,15 +235,14 @@ def cmd_estimate_k(args) -> int:
     if not (finite := np.isfinite(split.features).all(axis=1)).all():
         raise OpenConError(f"cannot estimate k from non-finite feature row {finite.argmin()}")
     candidates = range(int(lo), int(hi) + 1)
-    feats = np.concatenate([split.labeled_features(), split.unlabeled_features()])
+    rows = np.concatenate([split.labeled_idx, split.unlabeled_idx])
     labeled_mask = np.concatenate([
         np.ones(split.n_labeled, bool), np.zeros(split.n_unlabeled, bool)])
-    labels = np.concatenate([split.labeled_labels(), split.unlabeled_true_labels()])
+    labels = split.labels[rows]
     if args.checkpoint:
-        state = checkpoint_load(args.checkpoint)
-        embeddings, _ = forward(state.mlp, feats)
+        embeddings = _embed_rows(checkpoint_load(args.checkpoint).mlp, split.features, rows)
     else:
-        embeddings = l2_normalize(feats)
+        embeddings = l2_normalize(split.features[rows])
     rng = Rng(args.seed, "theory")
     estimate = estimate_class_number(embeddings, labeled_mask, labels,
                                      candidates, rng)

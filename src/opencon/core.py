@@ -27,7 +27,8 @@ class DegenerateVector(OpenConError):
 
 
 class InvalidTemperature(OpenConError):
-    """Softmax/contrastive temperature must be finite and strictly positive."""
+    """Softmax/contrastive temperature must be finite and at least the
+    smallest normal float64."""
 
 
 class EmptyScores(OpenConError):
@@ -42,12 +43,18 @@ def as_f64(v) -> np.ndarray:
     return np.asarray(v, dtype=np.float64)
 
 
-def stable_sum(values: np.ndarray, axis: int | None = None) -> np.ndarray | float:
+def stable_sum(values: np.ndarray, axis: int | None = None,
+               overwrite: bool = False) -> np.ndarray | float:
     """Sum after sorting ascending, so the result does not depend on the
-    order the addends arrived in (permutation-invariant at f64)."""
+    order the addends arrived in (permutation-invariant at f64). With an
+    `axis` and `overwrite`, a float64 `values` is sorted in place instead of
+    a copy."""
     values = as_f64(values)
     if axis is None:
         return float(np.sum(np.sort(values, axis=None)))
+    if overwrite:
+        values.sort(axis=axis)
+        return np.sum(values, axis=axis)
     return np.sum(np.sort(values, axis=axis), axis=axis)
 
 
@@ -88,11 +95,17 @@ def log_sum_exp(v, axis: int = -1) -> np.ndarray | float:
     return float(out) if np.ndim(out) == 0 else out
 
 
+# the smallest normal float64: below it, logits / tau overflow and inf - inf
+# turns the shifted scores into NaN
+MIN_TEMPERATURE = float(np.finfo(np.float64).tiny)
+
+
 def check_temperature(tau: float, name: str = "tau") -> None:
-    """Raise InvalidTemperature unless 0 < tau < inf; a NaN fails both
-    comparisons, where it would pass a bare `tau <= 0`."""
-    if not 0 < tau < np.inf:
-        raise InvalidTemperature(f"{name} must be finite and > 0, got {tau}")
+    """Raise InvalidTemperature unless MIN_TEMPERATURE <= tau < inf; a NaN
+    fails both comparisons, where it would pass a bare `tau <= 0`."""
+    if not MIN_TEMPERATURE <= tau < np.inf:
+        raise InvalidTemperature(f"{name} must be finite and > 0 (at least "
+                                 f"{MIN_TEMPERATURE:.4g}), got {tau}")
 
 
 def softmax(v, tau: float) -> np.ndarray:

@@ -254,7 +254,8 @@ def known_logit_scores(logits: np.ndarray, names: tuple[str, ...],
         _, e = shifted_exp(np.divide(logits, tau, out=logits), axis=1, out=logits,
                            vmax=vmax[:, None])
         out["msp"] = 1.0 / np.sum(e, axis=1)
-        out["energy"] = tau * (vmax + np.log(stable_sum(e, axis=1)))
+        # msp has read e, so energy's sort may reorder it in place
+        out["energy"] = tau * (vmax + np.log(stable_sum(e, axis=1, overwrite=True)))
     return tuple(out[name] for name in names)
 
 

@@ -218,6 +218,22 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+def _embed_rows(mlp: Mlp, features: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`forward(mlp, features[rows])[0]`, embedded in n // EVAL_BLOCK_ROWS
+    near-equal row blocks of B to 2B - 1 rows (B = EVAL_BLOCK_ROWS), so the
+    gathered rows, the hidden layer and the norm's temporaries scale with the
+    block, never with `rows`. At least B rows keep each product on the whole
+    pool's OpenBLAS kernel, so the bytes are the whole pool's for layer
+    widths 5-192 and multiples of 8; a shorter block (a fixed partition's
+    tail, or a half of B + 1 rows) can fall to the small-matrix kernel."""
+    z = np.empty((len(rows), mlp.dims[2]))
+    start = 0
+    for block in np.array_split(rows, max(1, len(rows) // EVAL_BLOCK_ROWS)):
+        z[start:start + len(block)], _ = forward(mlp, features[block])
+        start += len(block)
+    return z
+
+
 def _pool_pass(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bool,
                tau: float | None) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
     """Embed the unlabeled pool once, EVAL_BLOCK_ROWS rows at a time, keeping
@@ -440,7 +456,7 @@ def train(
         store.reset_counts()
         lam_epoch = None
         if config.calibration == PER_EPOCH:
-            z_all_l, _ = forward(mlp, split.labeled_features())
+            z_all_l = _embed_rows(mlp, split.features, split.labeled_idx)
             lam_epoch = calibrate_threshold(z_all_l, store, config.p)
         records = [train_step(mlp, optimizer, store, config, batch_l, batch_u, epoch,
                               iteration, lam_epoch)
@@ -448,7 +464,7 @@ def train(
         breakdowns, lams, gated, views = zip(*records)
 
         if epoch == 0 and config.warm_start:
-            z_all_l, _ = forward(mlp, split.labeled_features())
+            z_all_l = _embed_rows(mlp, split.features, split.labeled_idx)
             warm_start_known(store, z_all_l, labeled_y)
 
         is_last = epoch == config.epochs - 1

@@ -174,6 +174,41 @@ class TestTrain:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("tau", ["1e-320", "5e-309"])
+    def test_eval_rejects_a_subnormal_tau(self, tau, data_file, tmp_path, capsys):
+        # below the smallest normal float, logits / tau overflow and the max
+        # shift's inf - inf made NaN scores, reported as auroc 0.0 with exit 0
+        ckpt = tmp_path / "run.ockp"
+        rc = main(train_args(data_file, ["--checkpoint-out", str(ckpt),
+                                         "--metrics", str(tmp_path / "m.jsonl"),
+                                         "--summary", str(tmp_path / "s.json")]))
+        assert rc == 0
+        capsys.readouterr()
+        out = tmp_path / "eval.json"
+        rc = main(["eval", "--data", str(data_file), "--checkpoint", str(ckpt),
+                   "--seed", "2", "--tau", tau, "--out", str(out), "--no-timestamps"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: tau must be finite and > 0")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_eval_at_the_smallest_normal_tau_scores_finitely(self, data_file, tmp_path):
+        ckpt = tmp_path / "run.ockp"
+        rc = main(train_args(data_file, ["--checkpoint-out", str(ckpt),
+                                         "--metrics", str(tmp_path / "m.jsonl"),
+                                         "--summary", str(tmp_path / "s.json")]))
+        assert rc == 0
+        out = tmp_path / "eval.json"
+        rc = main(["eval", "--data", str(data_file), "--checkpoint", str(ckpt),
+                   "--seed", "2", "--tau", repr(float(np.finfo(float).tiny)), "--out", str(out),
+                   "--no-timestamps"])
+        assert rc == 0
+        detection = json.loads(out.read_text())["detection"]
+        assert set(detection) == {"max_cosine", "msp", "energy"}
+        for metrics in detection.values():
+            assert 0.0 < metrics["auroc"] <= 1.0
+
     def test_eval_rejects_non_finite_features(self, data_file, tmp_path, capsys):
         ckpt = tmp_path / "run.ockp"
         rc = main(train_args(data_file, ["--checkpoint-out", str(ckpt),
@@ -673,6 +708,33 @@ class TestEstimateK:
         assert capsys.readouterr().err == (
             "error: cannot estimate k from non-finite feature row 3\n")
         assert not out.exists()
+
+
+    def test_checkpoint_embeds_both_pools_in_blocks(self, tmp_path, monkeypatch):
+        # 600 rows, labeled then unlabeled, embed in two blocks of 300 to the
+        # bytes of one forward of both pools
+        data = tmp_path / "d.ocft"
+        assert main(["gen-data", "--classes", "6", "--per-class", "100", "--dim", "12",
+                     "--kappa", "40", "--seed", "1", "--out", str(data),
+                     "--no-timestamps"]) == 0
+        ckpt = tmp_path / "run.ockp"
+        assert main(train_args(data, ["--epochs", "1", "--checkpoint-out", str(ckpt),
+                                      "--metrics", str(tmp_path / "m.jsonl"),
+                                      "--summary", str(tmp_path / "s.json")])) == 0
+        embedded, sizes = [], []
+        estimate, forward = cli.estimate_class_number, trainer.forward
+        monkeypatch.setattr(cli, "estimate_class_number",
+                            lambda z, *rest: embedded.append(z) or estimate(z, *rest))
+        monkeypatch.setattr(trainer, "forward",
+                            lambda mlp, x: sizes.append(len(x)) or forward(mlp, x))
+        assert main(["estimate-k", "--data", str(data), "--range", "2:4", "--seed", "2",
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "k.json"),
+                     "--no-timestamps"]) == 0
+        assert sizes == [300, 300]
+        split = make_split(ingest_features(data), 0.5, 0.5, Rng(2, "data"))
+        want, _ = forward(trainer.checkpoint_load(ckpt).mlp, np.concatenate(
+            [split.labeled_features(), split.unlabeled_features()]))
+        assert embedded[0].tobytes() == want.tobytes()
 
 
 class TestVerify:

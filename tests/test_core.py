@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opencon.core import (
+    MIN_TEMPERATURE,
     STREAMS,
     DegenerateVector,
     EmptyScores,
@@ -133,6 +134,15 @@ class TestSoftmax:
             check_temperature(tau, "tau_u")
         with pytest.raises(InvalidTemperature):
             softmax([1.0, 2.0], tau)
+
+    @pytest.mark.parametrize("tau", [1e-320, 5e-309, np.nextafter(MIN_TEMPERATURE, 0.0)])
+    def test_subnormal_temperature(self, tau):
+        # below the smallest normal float, cosines / tau overflow to inf and
+        # the max shift turns them into NaN
+        with pytest.raises(InvalidTemperature, match="tau must be finite and > 0"):
+            check_temperature(tau)
+        check_temperature(MIN_TEMPERATURE)
+        assert np.isfinite(softmax([1.0, -1.0], MIN_TEMPERATURE)).all()
 
     @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=12),
            st.integers(min_value=-1000, max_value=1000))
@@ -281,6 +291,15 @@ class TestStableSum:
         a = stable_sum(v)
         b = stable_sum(v[rng.permutation(257)])
         assert a == b
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_overwrite_sorts_in_place_to_the_same_bytes(self, axis):
+        rng = np.random.default_rng(1)
+        v = rng.normal(size=(37, 9)) * 10.0 ** rng.integers(-8, 8, size=(37, 9))
+        want = stable_sum(v, axis)
+        got = stable_sum(v, axis, overwrite=True)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(v, np.sort(v, axis=axis))
 
 
 class TestRng:

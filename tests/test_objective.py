@@ -480,6 +480,11 @@ class TestComposite:
         with pytest.raises(ValueError):
             LossWeights(lambda_u=-0.1)
 
+    @pytest.mark.parametrize("name", ["tau_n", "tau_l", "tau_u"])
+    def test_subnormal_temperature_rejected(self, name):
+        with pytest.raises(InvalidTemperature, match=f"{name} must be finite and > 0"):
+            LossWeights(**{name: 1e-320})
+
 
 class TestModified:
     """The widened-supervised-term variant: labeled views plus gate-rejected

@@ -448,6 +448,70 @@ class TestPoolEvaluation:
         assert len(threads) == (1 if target == "row" else 0)
 
 
+def one_forward(mlp, features, rows):
+    """The labeled-pool embedding as one forward of the whole pool."""
+    return trainer.forward(mlp, features[rows])[0]
+
+
+class TestEmbedRows:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_blocks_match_one_whole_pool_forward(self, data):
+        b = EVAL_BLOCK_ROWS
+        n = data.draw(st.sampled_from([1, b - 1, b, b + 1, b + 3, b + 9, 2 * b + 1,
+                                       3 * b + 7]), "n")
+        m = data.draw(st.integers(1, 40), "m")
+        h, d = (data.draw(st.integers(8, 40), name) for name in "hd")
+        seed = data.draw(st.integers(0, 2**32 - 1), "seed")
+        mlp, _, split = random_model(seed, n, m, h, d, n_classes=2, n_known=1)
+        rows = split.unlabeled_idx  # shuffled
+        got = trainer._embed_rows(mlp, split.features, rows)
+        assert got.shape == (n, d)
+        assert got.tobytes() == one_forward(mlp, split.features, rows).tobytes()
+
+    @pytest.mark.parametrize("calibration", ["per_batch", "per_epoch"])
+    def test_training_matches_one_whole_pool_forward(self, calibration, monkeypatch):
+        # 2B + 3 labeled rows at S1's encoder widths: two blocks of B + 2 and
+        # B + 1, where fixed blocks of B leave a 3-row tail whose other bytes
+        # reach the warm-started prototypes
+        b = EVAL_BLOCK_ROWS
+        _, _, split = random_model(5, 48, 32, 8, 8, n_classes=6, n_known=3,
+                                   n_labeled=2 * b + 3)
+        config = tiny_config(epochs=2, b_l=16, b_u=16, hidden_dim=64, embed_dim=128,
+                             calibration=calibration)
+        sizes = []
+        monkeypatch.setattr(trainer, "forward",
+                            lambda mlp, x: sizes.append(len(x)) or forward(mlp, x))
+        blocked = train(config, split)
+        blocked_sizes, sizes[:] = sizes[:], []
+        monkeypatch.setattr(trainer, "_embed_rows", one_forward)
+        whole = train(config, split)
+        assert [r.as_dict() for r in blocked.reports] == [r.as_dict() for r in whole.reports]
+        assert flat_params(blocked.mlp).tobytes() == flat_params(whole.mlp).tobytes()
+        assert blocked.store.matrix.tobytes() == whole.store.matrix.tobytes()
+        # the encoder sees the same rows, the labeled pool in blocks
+        assert sum(blocked_sizes) == sum(sizes)
+        assert max(blocked_sizes) == b + 2 < max(sizes) == 2 * b + 3
+
+    @pytest.mark.parametrize("calibration", ["per_batch", "per_epoch"])
+    def test_warm_start_memory_scales_with_the_block(self, calibration):
+        # 20,000 labeled rows: the whole pool's (n, h) hidden layer alone is 20.5 MB
+        n, m, h, d = 20_000, 32, 128, 16
+        _, _, split = random_model(0, 32, m, 8, 8, n_classes=10, n_known=5, n_labeled=n)
+        config = tiny_config(epochs=1, b_l=16, b_u=16, hidden_dim=h, embed_dim=d,
+                             eval_every=0, calibration=calibration)
+        tracemalloc.start()
+        try:
+            train(config, split)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (n, d) embeddings and a class's gathered rows, a few (block,
+        # width) activations, and a few (n,) label, score and order vectors
+        bound = 8 * (8 * EVAL_BLOCK_ROWS * max(h, d) + 2 * n * d + 8 * n)
+        assert peak < bound < n * h * 8 // 2
+
+
 SMALL_BLOCK = 32
 
 
