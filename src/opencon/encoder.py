@@ -157,6 +157,8 @@ class OptimizerConfig:
         if not 0 < self.decay_factor < np.inf:
             raise ValueError(
                 f"lr decay factor must be finite and > 0, got {self.decay_factor}")
+        if not all(0.0 <= f <= 1.0 for f in self.milestones):
+            raise ValueError(f"milestones must lie in [0, 1], got {self.milestones}")
         if list(self.milestones) != sorted(set(self.milestones)):
             raise ValueError("milestones must be strictly increasing")
 

@@ -116,46 +116,20 @@ def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(n, dtype=np.int64), col4row
 
 
-def _optimal_cost(cost: np.ndarray) -> float:
-    r, c = linear_sum_assignment(cost)
-    return float(cost[r, c].sum())
-
-
 def hungarian(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost injective assignment of rows to columns.
+    """Minimum-cost injective assignment of rows to columns, in one solve.
 
-    Rectangular inputs are padded to square with zeros; rows landing on a
-    padding column come back as -1. Among equal-cost optima the
-    lexicographically smallest assignment (by row order) is returned, which
-    pins down ties deterministically.
+    Entry r is the column matched to row r; when there are more rows than
+    columns, rows left without a column come back as -1. Ties resolve
+    deterministically (the solver takes the lowest-index free column), but
+    not necessarily to the lexicographically smallest optimum.
+
+    Raises:
+        ValueError: if `cost` is not 2-D or holds a non-finite entry.
     """
-    cost = as_f64(cost)
-    if cost.ndim != 2:
-        raise ValueError("cost must be a 2-D matrix")
-    n, m = cost.shape
-    if n == 0:
-        return np.zeros(0, np.int64)
-    k = max(n, m)
-    padded = np.zeros((k, k))
-    padded[:n, :m] = cost
-    best = _optimal_cost(padded)  # raises on a non-finite entry
-    tol = 1e-9 * max(1.0, abs(best))
-    assign = np.full(n, -1, np.int64)
-    avail = np.ones(k, dtype=bool)
-    fixed = 0.0
-    for r in range(n):
-        rest_rows = np.arange(r + 1, k)
-        for c in np.flatnonzero(avail):
-            rem = avail.copy()
-            rem[c] = False
-            sub = padded[np.ix_(rest_rows, np.flatnonzero(rem))]
-            total = fixed + padded[r, c] + _optimal_cost(sub)
-            if total <= best + tol:
-                assign[r] = c if c < m else -1
-                avail[c] = False
-                fixed += padded[r, c]
-                best = total
-                break
+    rows, cols = linear_sum_assignment(cost)
+    assign = np.full(np.shape(cost)[0], -1, np.int64)
+    assign[rows] = cols
     return assign
 
 

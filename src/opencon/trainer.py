@@ -29,7 +29,6 @@ from opencon.encoder import (
     Mlp,
     Optimizer,
     OptimizerConfig,
-    ShapeMismatch,
     backward,
     forward,
 )

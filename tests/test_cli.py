@@ -479,6 +479,19 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {cfg}:3: config key '{key}'")
 
+    @pytest.mark.parametrize("raw", ["inf", "nan", "-0.5", "2.0"])
+    def test_milestone_outside_unit_interval_is_runtime_error(self, raw, data_file,
+                                                               tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"milestones = {raw}\n")
+        metrics, summary = tmp_path / "m.jsonl", tmp_path / "s.json"
+        rc = main(train_args(data_file, ["--config", str(cfg), "--metrics", str(metrics),
+                                         "--summary", str(summary)]))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: milestones") and err.count("\n") == 1
+        assert not metrics.exists() and not summary.exists()
+
     @pytest.mark.parametrize("argv", [
         lambda data, cfg: train_args(data, ["--p", "150"]),
         lambda data, cfg: train_args(data, ["--lr", "-1"]),

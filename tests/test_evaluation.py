@@ -119,8 +119,8 @@ class TestHungarian:
                 assert ours == pytest.approx(bf_cost, abs=1e-9)
                 np.testing.assert_array_equal(assign, bf_perm)
 
-    def test_lexicographic_ties(self):
-        # every assignment is optimal; the smallest by row order wins
+    def test_all_zero_cost_gives_identity(self):
+        # every assignment is optimal; the solver takes the lowest free column
         assign = hungarian(np.zeros((3, 3)))
         assert assign.tolist() == [0, 1, 2]
 
@@ -138,6 +138,34 @@ class TestHungarian:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             hungarian(np.array([[np.inf, 1.0], [1.0, 2.0]]))
+
+    def test_one_solve(self, monkeypatch):
+        calls = []
+        solve = evaluation.linear_sum_assignment
+
+        def counted(cost):
+            calls.append(cost.shape)
+            return solve(cost)
+
+        monkeypatch.setattr(evaluation, "linear_sum_assignment", counted)
+        assign = hungarian(Rng(2, "theory").normal(size=(100, 100)))
+        assert len(calls) == 1
+        assert sorted(assign.tolist()) == list(range(100))
+
+    @settings(max_examples=300, deadline=None)
+    @given(assignment_costs())
+    def test_optimal_injective_map(self, cost):
+        assign = hungarian(cost)
+        n, m = cost.shape
+        matched = assign[assign >= 0]
+        assert assign.shape == (n,)
+        assert (assign == -1).sum() == n - min(n, m)
+        assert np.all(matched < m)
+        assert len(set(matched.tolist())) == len(matched)
+        ref_rows, ref_cols = scipy.optimize.linear_sum_assignment(cost)
+        rows = np.flatnonzero(assign >= 0)
+        assert cost[rows, assign[rows]].sum() == pytest.approx(
+            cost[ref_rows, ref_cols].sum(), abs=1e-9, rel=0)
 
 
 class TestAccuracyTriple:
@@ -183,15 +211,14 @@ class TestAccuracyTriple:
             accuracy_triple([], [], [0], [1], 2)
 
 
-def matched_accuracy_via_hungarian(pred, truth, n_pred_ids, classes):
-    """Reference: the matched count read off hungarian's assignment."""
+def matched_accuracy_via_scipy(pred, truth, n_pred_ids, classes):
+    """Reference: the matched count of SciPy's optimal assignment."""
     col_of = {int(c): j for j, c in enumerate(classes)}
     counts = np.zeros((n_pred_ids, len(classes)))
     for p, t in zip(pred, truth):
         counts[p, col_of[t]] += 1
-    assign = hungarian(-counts)
-    matched = sum(counts[r, assign[r]] for r in range(n_pred_ids) if assign[r] >= 0)
-    return float(matched) / len(pred)
+    rows, cols = scipy.optimize.linear_sum_assignment(-counts)
+    return float(counts[rows, cols].sum()) / len(pred)
 
 
 @st.composite
@@ -227,12 +254,12 @@ class TestMatchedAccuracy:
     @settings(max_examples=300, deadline=None)
     @given(free_problems())
     def test_equals_hungarian_count(self, problem):
-        assert _matched_accuracy(*problem) == matched_accuracy_via_hungarian(*problem)
+        assert _matched_accuracy(*problem) == matched_accuracy_via_scipy(*problem)
 
     @settings(max_examples=300, deadline=None)
     @given(cluster_problems())
     def test_equals_hungarian_count_cluster_shape(self, problem):
-        assert _matched_accuracy(*problem) == matched_accuracy_via_hungarian(*problem)
+        assert _matched_accuracy(*problem) == matched_accuracy_via_scipy(*problem)
 
     def test_truth_outside_classes_raises(self):
         with pytest.raises(ValueError):

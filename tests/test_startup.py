@@ -1,7 +1,8 @@
 """What `import opencon` and the `opencon` command load, run in fresh
-interpreters with no BLAS thread variables set, and what the package
-declares it needs."""
+interpreters with no BLAS thread variables set, what the package declares it
+needs, and that every module reads what it imports."""
 
+import ast
 import json
 import os
 import re
@@ -148,3 +149,25 @@ def test_numpy_is_the_only_runtime_dependency():
 
     assert names(project["dependencies"]) == {"numpy"}
     assert names(project["optional-dependencies"]["test"]) >= {"scipy", "pytest", "hypothesis"}
+
+
+def test_every_top_level_import_is_read():
+    # no linter runs in CI; `# noqa: F401` marks an import kept on purpose
+    unused = []
+    for path in sorted((SRC / "opencon").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound[name] = alias.lineno
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in bound.items()
+                   if name not in read and "# noqa: F401" not in lines[line - 1]]
+    assert unused == []

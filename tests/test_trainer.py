@@ -179,6 +179,10 @@ class TestTrainLoop:
         ("aug_p_mask", 1.0, "p_mask"),
         ("early_stop_tol", float("nan"), "early_stop_tol"),
         ("early_stop_tol", -1.0, "early_stop_tol"),
+        ("milestones", (float("inf"),), "milestones"),
+        ("milestones", (float("nan"),), "milestones"),
+        ("milestones", (-0.5,), "milestones"),
+        ("milestones", (1.5,), "milestones"),
     ])
     def test_out_of_range_floats_rejected(self, field, value, match):
         with pytest.raises(ValueError, match=match):
@@ -194,7 +198,7 @@ class TestTrainLoop:
 
     def test_range_edges_accepted(self):
         TrainConfig(momentum=0.0, weight_decay=0.0, aug_sigma=0.0, aug_p_mask=0.0,
-                    early_stop_tol=0.0)
+                    early_stop_tol=0.0, milestones=(0.0, 1.0))
 
     def test_defaults_match_the_configs_they_feed(self):
         # TrainConfig repeats these defaults; the two copies must agree
