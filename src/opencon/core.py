@@ -151,6 +151,8 @@ class Rng(np.random.Generator):
     def __init__(self, seed: int, stream: str = "data"):
         if stream not in STREAMS:
             raise UnknownStream(f"unknown stream {stream!r}, expected one of {STREAMS}")
+        if int(seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(STREAMS.index(stream),))
         super().__init__(np.random.PCG64(ss))
 
@@ -183,8 +185,12 @@ class VmfParams:
             raise ValueError("mean_direction must be a vector with dim >= 2")
         if abs(np.linalg.norm(mu) - 1.0) > 1e-9:
             raise DegenerateVector("mean_direction must be unit norm")
-        if not 0 <= self.kappa < np.inf:  # NaN/inf would hang the sampler
-            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
+        # NaN would hang the sampler, as would any kappa from (dim - 1) * 2**52
+        # on: exactly there its x0 rounds to 1 and no proposal passes
+        limit = (mu.size - 1) * 2.0 ** 52
+        if not 0 <= self.kappa < limit:
+            raise ValueError(f"kappa must be >= 0 and < (dim - 1) * 2**52 = {limit:.6g} "
+                             f"in dimension {mu.size}, got {self.kappa}")
         object.__setattr__(self, "mean_direction", mu)
 
 

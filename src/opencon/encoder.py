@@ -21,7 +21,9 @@ class ShapeMismatch(OpenConError):
 
 @dataclass
 class Mlp:
-    """phi(x) = l2_normalize(W2 @ relu(W1 @ x + b1) + b2)."""
+    """phi(x) = l2_normalize(W2 @ relu(W1 @ x + b1) + b2).
+
+    A gradient and the optimizer's momentum are Mlps of the same shapes."""
 
     w1: np.ndarray  # (h, m)
     b1: np.ndarray  # (h,)
@@ -50,6 +52,14 @@ class Mlp:
     def copy(self) -> "Mlp":
         return Mlp(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
 
+    def add_(self, other: "Mlp") -> None:
+        for mine, theirs in zip(self.params().values(), other.params().values()):
+            mine += theirs
+
+    @classmethod
+    def zeros_like(cls, mlp: "Mlp") -> "Mlp":
+        return cls(*map(np.zeros_like, mlp.params().values()))
+
 
 @dataclass
 class Tape:
@@ -61,26 +71,6 @@ class Tape:
     inv_norm: np.ndarray  # (n,) 1/||pre-normalization output||
     z: np.ndarray         # (n, d) unit embeddings
     dims: tuple[int, int, int]
-
-
-@dataclass
-class Grads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def add_(self, other: "Grads") -> "Grads":
-        self.w1 += other.w1
-        self.b1 += other.b1
-        self.w2 += other.w2
-        self.b2 += other.b2
-        return self
-
-    @classmethod
-    def zeros_like(cls, mlp: Mlp) -> "Grads":
-        return cls(np.zeros_like(mlp.w1), np.zeros_like(mlp.b1),
-                   np.zeros_like(mlp.w2), np.zeros_like(mlp.b2))
 
 
 def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, Tape]:
@@ -111,7 +101,7 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, Tape]:
     return (z[0] if single else z), tape
 
 
-def backward(mlp: Mlp, tape: Tape, grad_z: np.ndarray) -> Grads:
+def backward(mlp: Mlp, tape: Tape, grad_z: np.ndarray) -> Mlp:
     """Exact parameter gradients for d(loss)/d(z) accumulated over the batch.
 
     The normalization Jacobian is the tangent-space projection scaled by the
@@ -133,7 +123,7 @@ def backward(mlp: Mlp, tape: Tape, grad_z: np.ndarray) -> Grads:
     dh_pre = dh * (tape.hidden > 0.0)
     dw1 = dh_pre.T @ tape.x
     db1 = dh_pre.sum(axis=0)
-    return Grads(dw1, db1, dw2, db2)
+    return Mlp(dw1, db1, dw2, db2)
 
 
 @dataclass
@@ -161,6 +151,17 @@ class OptimizerConfig:
             raise ValueError(f"milestones must lie in [0, 1], got {self.milestones}")
         if list(self.milestones) != sorted(set(self.milestones)):
             raise ValueError("milestones must be strictly increasing")
+        try:  # each milestone scales the rate once: the last epoch has the extreme one
+            last_lr = self.lr_at(self.total_epochs - 1)
+        except OverflowError:  # a float power past the float range
+            last_lr = np.inf
+        if not last_lr < np.inf:
+            raise ValueError(f"lr {self.lr} decayed by {self.decay_factor} per milestone "
+                             f"leaves the float range within {self.total_epochs} epochs")
+
+    def lr_at(self, epoch: int) -> float:
+        hits = sum(1 for f in self.milestones if epoch >= int(np.floor(f * self.total_epochs)))
+        return self.lr * self.decay_factor ** hits
 
 
 class Optimizer:
@@ -173,21 +174,15 @@ class Optimizer:
 
     def __init__(self, cfg: OptimizerConfig, mlp: Mlp):
         self.cfg = cfg
-        self.velocity = Grads.zeros_like(mlp)
-        self._milestone_epochs = [int(np.floor(f * cfg.total_epochs)) for f in cfg.milestones]
+        self.velocity = Mlp.zeros_like(mlp)
 
-    def lr_at(self, epoch: int) -> float:
-        hits = sum(1 for e in self._milestone_epochs if epoch >= e)
-        return self.cfg.lr * self.cfg.decay_factor ** hits
-
-    def step(self, mlp: Mlp, grads: Grads, epoch: int) -> None:
-        lr = self.lr_at(epoch)
+    def step(self, mlp: Mlp, grads: Mlp, epoch: int) -> None:
+        lr = self.cfg.lr_at(epoch)
         mom, wd = self.cfg.momentum, self.cfg.weight_decay
-        for name, param in mlp.params().items():
-            g = getattr(grads, name)
+        for (name, param), g, v in zip(mlp.params().items(), grads.params().values(),
+                                       self.velocity.params().values()):
             if g.shape != param.shape:
                 raise ShapeMismatch(f"{name}: grad {g.shape} != param {param.shape}")
-            v = getattr(self.velocity, name)
             decay = wd if name.startswith("w") else 0.0
             v *= mom
             v += g + decay * param

@@ -25,7 +25,6 @@ from opencon.data import (
     write_blocks,
 )
 from opencon.encoder import (
-    Grads,
     Mlp,
     Optimizer,
     OptimizerConfig,
@@ -185,7 +184,7 @@ class TrainState:
     """Everything needed to resume a run bitwise at an epoch boundary."""
 
     mlp: Mlp
-    velocity: Grads
+    velocity: Mlp
     store: PrototypeStore
     next_epoch: int
     total_epochs: int
@@ -440,7 +439,7 @@ def train(
     _check_known_rows(store, split)
     optimizer = Optimizer(config.optimizer_config, mlp)
     if start_state is not None:
-        optimizer.velocity = Grads(*dataclasses.astuple(start_state.velocity))
+        optimizer.velocity = start_state.velocity.copy()
 
     def snapshot(next_epoch: int) -> TrainState:
         return TrainState(mlp, optimizer.velocity, store, next_epoch, config.epochs,
@@ -565,8 +564,7 @@ def checkpoint_save(path, state: TrainState) -> None:
                         len(store.known_ids), state.next_epoch, state.total_epochs],
                        "<u4")]
     blocks += [as_f64(block).astype("<f8") for block in (
-        mlp.w1, mlp.b1, mlp.w2, mlp.b2, state.velocity.w1, state.velocity.b1,
-        state.velocity.w2, state.velocity.b2, store.matrix)]
+        *mlp.params().values(), *state.velocity.params().values(), store.matrix)]
     blocks += [store.assignment_counts.astype("<i8"), store.known_ids.astype("<i8")]
     for name in _RNG_STREAMS_SAVED:
         s, inc, has32, uint = state.rng_words[name]
@@ -583,7 +581,7 @@ def checkpoint_load(path) -> TrainState:
         raise VersionMismatch(f"checkpoint version {version}, expected {CHECKPOINT_VERSION}")
     shapes = ((h, m), (h,), (d, h), (d,))
     mlp = Mlp(*(reader.take(shape, "<f8") for shape in shapes))
-    velocity = Grads(*(reader.take(shape, "<f8") for shape in shapes))
+    velocity = Mlp(*(reader.take(shape, "<f8") for shape in shapes))
     matrix = reader.take((k, d), "<f8")
     counts = reader.take((k,), "<i8")
     known_ids = reader.take((n_known,), "<i8")

@@ -70,6 +70,22 @@ class TestGenData:
         assert outs[0] == outs[1]
         assert outs[0][1]["seed"] == 0
 
+    def test_kappa_past_the_float_limit_fails_fast(self, tmp_path):
+        # in a child process with a timeout, so a sampler that hangs fails the
+        # test in seconds
+        out = tmp_path / "k.ocft"
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(opencon.__file__).resolve().parent.parent)}
+        done = subprocess.run(
+            [sys.executable, "-m", "opencon.cli", "gen-data", "--classes", "2",
+             "--per-class", "3", "--dim", "4", "--kappa", "1e20", "--out", str(out)],
+            env=env, capture_output=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith(b"error: kappa must be >= 0 and < ")
+        assert done.stderr.endswith(b"in dimension 4, got 1e+20\n")
+        assert done.stderr.count(b"\n") == 1
+        assert not out.exists() and not Path(str(out) + ".json").exists()
+
     def test_empty_dataset_warns_but_succeeds(self, tmp_path, capsys):
         out = tmp_path / "empty.ocft"
         rc = main(["gen-data", "--classes", "2", "--per-class", "0", "--dim", "4",
@@ -492,6 +508,21 @@ class TestTrain:
         assert err.startswith("error: milestones") and err.count("\n") == 1
         assert not metrics.exists() and not summary.exists()
 
+    @pytest.mark.parametrize("extra", [
+        ["--epochs", "4", "--lr", "1e-200", "--lr-decay", "1e200"],
+        ["--epochs", "2", "--lr-decay", "1e308"],
+    ], ids=["overflow-at-epoch-3", "two-milestones-on-epoch-1"])
+    def test_lr_schedule_past_the_float_range_is_runtime_error(self, extra, data_file,
+                                                               tmp_path, capsys):
+        metrics, summary = tmp_path / "m.jsonl", tmp_path / "s.json"
+        rc = main(train_args(data_file, [*extra, "--metrics", str(metrics),
+                                         "--summary", str(summary)]))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lr ") and err.count("\n") == 1
+        assert "float range" in err
+        assert not metrics.exists() and not summary.exists()
+
     @pytest.mark.parametrize("argv", [
         lambda data, cfg: train_args(data, ["--p", "150"]),
         lambda data, cfg: train_args(data, ["--lr", "-1"]),
@@ -522,6 +553,29 @@ class TestTrain:
         assert captured.err.startswith("error: ")
         assert "diagnostic" not in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    lambda data, tmp: ["gen-data", "--classes", "2", "--per-class", "3", "--dim", "4",
+                       "--kappa", "10", "--out", str(tmp / "out.ocft"), "--seed", "-1"],
+    lambda data, tmp: train_args(data, ["--seed", "-1", "--metrics", str(tmp / "out.jsonl")]),
+    lambda data, tmp: ["train", "--data", str(data), "--config", str(tmp / "seed.cfg"),
+                       "--metrics", str(tmp / "out.jsonl")],
+    lambda data, tmp: ["eval", "--data", str(data), "--checkpoint", str(tmp / "none.ockp"),
+                       "--out", str(tmp / "out.json"), "--seed", "-1"],
+    lambda data, tmp: ["ablate", "--data", str(data), "--epochs", "1",
+                       "--out", str(tmp / "out.json"), "--seed", "-1"],
+    lambda data, tmp: ["estimate-k", "--data", str(data), "--range", "2:4",
+                       "--out", str(tmp / "out.json"), "--seed", "-1"],
+    lambda data, tmp: ["verify", "--trials", "1", "--out", str(tmp / "out.json"),
+                       "--seed", "-1"],
+], ids=["gen-data", "train", "train-config", "eval", "ablate", "estimate-k", "verify"])
+def test_negative_seed_names_the_seed(argv, data_file, tmp_path, capsys):
+    (tmp_path / "seed.cfg").write_text("seed = -1\n")
+    rc = main([*argv(data_file, tmp_path), "--no-timestamps"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not any(path.name.startswith("out") for path in tmp_path.iterdir())
 
 
 def test_eval_output_does_not_depend_on_blas_threads(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opencon.data import Dataset, ParseError, ingest_features, write_blocks, write_features
-from opencon.encoder import Grads, Mlp
+from opencon.encoder import Mlp
 from opencon.prototype import PrototypeStore
 from opencon.trainer import Corrupt, TrainState, checkpoint_load, checkpoint_save
 
@@ -25,7 +25,7 @@ def tiny_state():
     grid = np.arange(1.0, 1 + m * h + h + d * h + d) / 7
     w1, b1, w2, b2 = np.split(grid, np.cumsum([m * h, h, d * h]))
     mlp = Mlp(w1.reshape(h, m), b1, w2.reshape(d, h), b2)
-    velocity = Grads(-mlp.w1, -mlp.b1, 2 * mlp.w2, 2 * mlp.b2)
+    velocity = Mlp(-mlp.w1, -mlp.b1, 2 * mlp.w2, 2 * mlp.b2)
     store = PrototypeStore(np.array([[1.0, 0.0], [0.0, 1.0], [0.6, -0.8]]),
                            [0, 1], [2], np.array([4, 0, 9]))
     rng_words = {

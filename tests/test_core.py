@@ -369,6 +369,19 @@ class TestVmf:
         with pytest.raises(ValueError, match="kappa"):
             VmfParams(np.array([1.0, 0.0]), kappa)
 
+    @pytest.mark.parametrize("dim", [2, 4, 32, 128])
+    def test_kappa_limit_is_where_the_sampler_stops(self, dim):
+        # from (dim - 1) * 2**52 on, x0 rounds to 1 and the radial rejection
+        # test would never accept; one float below, sampling still works
+        mu = np.zeros(dim)
+        mu[0] = 1.0
+        limit = (dim - 1) * 2.0 ** 52
+        for kappa in (limit, np.float64(1e200), 1e300):
+            with pytest.raises(ValueError, match=f"in dimension {dim}, got "):
+                VmfParams(mu, kappa)
+        out = sample_vmf(VmfParams(mu, np.nextafter(limit, 0.0)), 50, Rng(0, "data"))
+        np.testing.assert_allclose(out @ mu, 1.0, atol=1e-9)
+
     def test_zero_count(self):
         mu = np.zeros(4)
         mu[0] = 1.0
@@ -404,6 +417,11 @@ class TestVmf:
         a = sample_uniform_sphere(6, 50, Rng(5, "init"))
         b = sample_uniform_sphere(6, 50, Rng(5, "init"))
         np.testing.assert_array_equal(a, b)
+
+
+def test_rng_negative_seed_names_the_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        Rng(-1, "data")
 
 
 @settings(max_examples=30)

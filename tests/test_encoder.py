@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from opencon.core import DegenerateVector, Rng
 from opencon.encoder import (
-    Grads,
     Mlp,
     Optimizer,
     OptimizerConfig,
@@ -188,20 +187,19 @@ class TestOptimizer:
         w1_before = mlp.w1.copy()
         opt = Optimizer(OptimizerConfig(lr=0.1, momentum=0.0, weight_decay=0.0,
                                         total_epochs=10), mlp)
-        grads = Grads.zeros_like(mlp)
+        grads = Mlp.zeros_like(mlp)
         grads.w1 += 1.0
         opt.step(mlp, grads, 0)
         np.testing.assert_allclose(mlp.w1, w1_before - 0.1, atol=1e-15)
 
     def test_schedule(self):
-        mlp = Mlp.init(3, 4, 2, Rng(11, "init"))
-        opt = Optimizer(OptimizerConfig(lr=0.02, total_epochs=100), mlp)
-        assert opt.lr_at(0) == pytest.approx(0.02)
-        assert opt.lr_at(49) == pytest.approx(0.02)
-        assert opt.lr_at(50) == pytest.approx(0.002)
-        assert opt.lr_at(74) == pytest.approx(0.002)
-        assert opt.lr_at(75) == pytest.approx(0.0002)
-        assert opt.lr_at(99) == pytest.approx(0.0002)
+        cfg = OptimizerConfig(lr=0.02, total_epochs=100)
+        assert cfg.lr_at(0) == pytest.approx(0.02)
+        assert cfg.lr_at(49) == pytest.approx(0.02)
+        assert cfg.lr_at(50) == pytest.approx(0.002)
+        assert cfg.lr_at(74) == pytest.approx(0.002)
+        assert cfg.lr_at(75) == pytest.approx(0.0002)
+        assert cfg.lr_at(99) == pytest.approx(0.0002)
 
     def test_weight_decay_skips_biases(self):
         mlp = Mlp.init(3, 4, 2, Rng(12, "init"))
@@ -210,7 +208,7 @@ class TestOptimizer:
         before = {k: v.copy() for k, v in mlp.params().items()}
         opt = Optimizer(OptimizerConfig(lr=0.1, momentum=0.0, weight_decay=0.5,
                                         total_epochs=10), mlp)
-        opt.step(mlp, Grads.zeros_like(mlp), 0)
+        opt.step(mlp, Mlp.zeros_like(mlp), 0)
         np.testing.assert_array_equal(mlp.b1, before["b1"])
         np.testing.assert_array_equal(mlp.b2, before["b2"])
         assert not np.array_equal(mlp.w1, before["w1"])
@@ -220,7 +218,7 @@ class TestOptimizer:
         w_start = mlp.w1.copy()
         opt = Optimizer(OptimizerConfig(lr=1.0, momentum=0.5, weight_decay=0.0,
                                         total_epochs=10), mlp)
-        grads = Grads.zeros_like(mlp)
+        grads = Mlp.zeros_like(mlp)
         grads.w1 += 1.0
         opt.step(mlp, grads, 0)   # v=1, w -= 1
         opt.step(mlp, grads, 0)   # v=1.5, w -= 1.5
@@ -245,9 +243,29 @@ class TestOptimizer:
         with pytest.raises(ValueError, match="lr"):
             Optimizer(OptimizerConfig(lr=lr), mlp)
 
+    @pytest.mark.parametrize("lr, decay, milestones, epochs", [
+        (1e-200, 1e200, (0.5, 0.75), 4),   # decay ** 2 overflows at epoch 3
+        (0.02, 1e308, (0.5, 0.75), 2),     # both milestones fall on epoch 1
+        (1e10, 1e150, (0.5, 0.75), 4),     # decay ** 2 is finite, the rate is inf
+    ])
+    def test_schedule_past_the_float_range_rejected(self, lr, decay, milestones, epochs):
+        with pytest.raises(ValueError, match="float range"):
+            OptimizerConfig(lr=lr, decay_factor=decay, milestones=milestones,
+                            total_epochs=epochs)
+
+    @pytest.mark.parametrize("lr, decay, milestones, epochs", [
+        (1e-200, 1e200, (0.5,), 4),        # one milestone: the rate reaches 1
+        (0.02, 1e308, (1.0,), 4),          # the milestone epoch lies past the budget
+        (1e-300, 1e-300, (0.5, 0.75), 4),  # a shrinking rate may reach 0
+    ])
+    def test_schedule_within_the_float_range_accepted(self, lr, decay, milestones, epochs):
+        cfg = OptimizerConfig(lr=lr, decay_factor=decay, milestones=milestones,
+                              total_epochs=epochs)
+        assert all(np.isfinite(cfg.lr_at(epoch)) for epoch in range(epochs))
+
     def test_shape_mismatch(self):
         mlp = Mlp.init(3, 4, 2, Rng(16, "init"))
         opt = Optimizer(OptimizerConfig(total_epochs=5), mlp)
-        bad = Grads(np.zeros((1, 1)), np.zeros(4), np.zeros((2, 4)), np.zeros(2))
+        bad = Mlp(np.zeros((1, 1)), np.zeros(4), np.zeros((2, 4)), np.zeros(2))
         with pytest.raises(ShapeMismatch):
             opt.step(mlp, bad, 0)

@@ -183,6 +183,8 @@ class TestTrainLoop:
         ("milestones", (float("nan"),), "milestones"),
         ("milestones", (-0.5,), "milestones"),
         ("milestones", (1.5,), "milestones"),
+        ("lr_decay", 1e200, "float range"),
+        ("lr_decay", 1e308, "float range"),
     ])
     def test_out_of_range_floats_rejected(self, field, value, match):
         with pytest.raises(ValueError, match=match):
