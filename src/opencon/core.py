@@ -185,12 +185,13 @@ class VmfParams:
             raise ValueError("mean_direction must be a vector with dim >= 2")
         if abs(np.linalg.norm(mu) - 1.0) > 1e-9:
             raise DegenerateVector("mean_direction must be unit norm")
-        # NaN would hang the sampler, as would any kappa from (dim - 1) * 2**52
-        # on: exactly there its x0 rounds to 1 and no proposal passes
-        limit = (mu.size - 1) * 2.0 ** 52
+        # NaN would hang the sampler; so can rounding in its acceptance test,
+        # near kappa * 2**-52 (4.4e18 hangs at dim 1000, and from (dim - 1) *
+        # 2**52 on x0 rounds to 1), which below 2**52 stays about 1 at most
+        limit = 2.0 ** 52
         if not 0 <= self.kappa < limit:
-            raise ValueError(f"kappa must be >= 0 and < (dim - 1) * 2**52 = {limit:.6g} "
-                             f"in dimension {mu.size}, got {self.kappa}")
+            raise ValueError(f"kappa must be >= 0 and < 2**52 = {limit:.6g}, "
+                             f"got {self.kappa}")
         object.__setattr__(self, "mean_direction", mu)
 
 

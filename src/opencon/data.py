@@ -452,6 +452,8 @@ def _read_binary(path) -> Dataset:
     has_labels = int(reader.take((), "u1"))
     if version != FEATURE_VERSION:
         raise ParseError(f"unsupported version {version} (offset 4)")
+    if m == 0:
+        raise ParseError("rows need at least one feature, the file has m = 0 (offset 12)")
     feats = reader.take((n, m), "<f4", np.float64)
     labels = reader.take((n,), "<i4", np.int64) if has_labels else np.full(n, UNLABELED)
     reader.done()

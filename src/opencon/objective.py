@@ -317,7 +317,6 @@ def loss_modified(
     pseudo_u: np.ndarray,
     prototypes: np.ndarray,
     weights: LossWeights,
-    prior: np.ndarray | None = None,
     drop_l: bool = False,
     drop_u: bool = False,
     drop_n: bool = False,
@@ -327,7 +326,8 @@ def loss_modified(
     The supervised term runs over labeled views plus the unlabeled views the
     gate predicted as known, each tagged with its ground-truth label if
     labeled and its predicted label otherwise. Reduces exactly to the
-    standard composite loss when the gate rejects nothing.
+    standard composite loss, whose prior defaults to the uniform one used
+    here, when the gate rejects nothing.
 
     Args:
         pseudo_u: predicted class (over all prototypes) for every unlabeled
@@ -338,5 +338,5 @@ def loss_modified(
     novel_rows = np.asarray(novel_rows, dtype=np.int64)
     rejected = np.setdiff1d(np.arange(len(z_u)), novel_rows)
     return _composite(z_l, labels_l, z_u, sample_ids_u, novel_rows, pseudo_novel,
-                      prototypes, weights, prior, drop_l, drop_u, drop_n,
+                      prototypes, weights, None, drop_l, drop_u, drop_n,
                       rejected, np.asarray(pseudo_u, np.int64)[rejected])

@@ -30,24 +30,20 @@ SCORE_VARIANTS = ("max_cosine", "msp", "energy")
 
 @dataclass
 class PrototypeStore:
-    """One unit prototype row per class. Rows in `known_ids` are index-aligned
-    with ground-truth label ids; rows in `novel_ids` are anonymous slots that
-    evaluation matches to classes by optimal assignment."""
+    """One unit prototype row per class. The first `n_known` rows are
+    index-aligned with the known classes' label ids; the rest are anonymous
+    novel slots that evaluation matches to classes by optimal assignment."""
 
     matrix: np.ndarray             # (C, d), unit rows
-    known_ids: np.ndarray          # sorted row indices
-    novel_ids: np.ndarray
+    n_known: int
     assignment_counts: np.ndarray = field(default=None)  # per-epoch tallies
 
     def __post_init__(self):
         self.matrix = as_f64(self.matrix)
-        self.known_ids = np.asarray(self.known_ids, np.int64)
-        self.novel_ids = np.asarray(self.novel_ids, np.int64)
         if self.assignment_counts is None:
             self.assignment_counts = np.zeros(self.n_classes, np.int64)
-        merged = np.sort(np.concatenate([self.known_ids, self.novel_ids]))
-        if not np.array_equal(merged, np.arange(self.n_classes)):
-            raise OpenConError("known_ids and novel_ids must partition the rows")
+        if not 0 <= self.n_known <= self.n_classes:
+            raise OpenConError(f"n_known must lie in [0, {self.n_classes}], got {self.n_known}")
         norms = np.linalg.norm(self.matrix, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise OpenConError("prototype rows must be unit norm")
@@ -57,14 +53,14 @@ class PrototypeStore:
         return self.matrix.shape[0]
 
     def known_matrix(self) -> np.ndarray:
-        return self.matrix[self.known_ids]
+        return self.matrix[:self.n_known]
 
     def reset_counts(self) -> None:
         self.assignment_counts[:] = 0
 
     def copy(self) -> "PrototypeStore":
-        return PrototypeStore(self.matrix.copy(), self.known_ids.copy(),
-                              self.novel_ids.copy(), self.assignment_counts.copy())
+        return PrototypeStore(self.matrix.copy(), self.n_known,
+                              self.assignment_counts.copy())
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,7 @@ def init_prototypes(n_classes: int, d: int, rng: Rng, n_known: int = 0) -> Proto
     if not 0 <= n_known <= n_classes:
         raise ValueError("n_known out of range")
     matrix = sample_uniform_sphere(d, n_classes, rng)
-    return PrototypeStore(matrix, np.arange(n_known), np.arange(n_known, n_classes))
+    return PrototypeStore(matrix, n_known)
 
 
 def pseudo_labels(z: np.ndarray, store: PrototypeStore) -> np.ndarray:
@@ -143,12 +139,11 @@ def update_prototypes(
     labeled_z = as_f64(labeled_z)
     labeled_y = np.asarray(labeled_y, np.int64)
     novel_z = as_f64(novel_z)
-    novel_ids = store.novel_ids
     if len(labeled_y) != len(labeled_z):
         raise ValueError(f"{len(labeled_y)} labels for {len(labeled_z)} labeled views")
     if np.any((labeled_y < 0) | (labeled_y >= store.n_classes)):
         raise ValueError(f"labels must lie in [0, {store.n_classes})")
-    if novel_z.shape[0] and novel_ids.size == 0:
+    if novel_z.shape[0] and store.n_known == store.n_classes:
         raise OpenConError("gated novel views need at least one novel prototype row")
     matrix = store.matrix
 
@@ -174,8 +169,9 @@ def update_prototypes(
         start += size
     matrix[classes] = work
 
-    # a gated novel view's row is the closest novel row at its step
-    novel = matrix[novel_ids]
+    # a gated novel view's row is the closest novel row at its step; the
+    # novel rows move in place
+    novel = matrix[store.n_known:]
     novel_t = novel.T
     picks = np.empty(len(novel_z), np.int64)
     for i, (z, pull) in enumerate(zip(novel_z, (1.0 - gamma) * novel_z)):
@@ -184,9 +180,8 @@ def update_prototypes(
         v = gamma * row
         v += pull
         l2_normalize(v, out=row)
-    matrix[novel_ids] = novel
     store.assignment_counts += np.bincount(
-        np.concatenate([labeled_y, novel_ids[picks]]), minlength=store.n_classes)
+        np.concatenate([labeled_y, store.n_known + picks]), minlength=store.n_classes)
     return store
 
 
@@ -196,7 +191,7 @@ def warm_start_known(store: PrototypeStore, labeled_z: np.ndarray,
     (rows whose mean collapses keep their current value)."""
     labeled_z = as_f64(labeled_z)
     labeled_y = np.asarray(labeled_y, np.int64)
-    for c in store.known_ids:
+    for c in range(store.n_known):
         rows = labeled_z[labeled_y == c]
         if rows.shape[0] == 0:
             continue

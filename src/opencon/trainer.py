@@ -290,8 +290,9 @@ def _pool_pass(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bo
 def _check_known_rows(store: PrototypeStore, split: SplitDataset) -> None:
     """Known prototype rows are index-aligned with the known class ids, so a
     split with other known classes raises VersionMismatch."""
-    if not np.array_equal(store.known_ids, split.known_classes):
-        raise VersionMismatch(f"the model's known prototype rows {store.known_ids.tolist()} "
+    known_rows = np.arange(store.n_known)
+    if not np.array_equal(known_rows, split.known_classes):
+        raise VersionMismatch(f"the model's known prototype rows {known_rows.tolist()} "
                               f"are not the split's known classes "
                               f"{split.known_classes.tolist()}")
 
@@ -549,8 +550,8 @@ def ablate(config: TrainConfig, split: SplitDataset,
 # ---------------------------------------------------------------------------
 # Checkpoints: magic OCKP, then the blocks (8,) <u4 [version, m, h, d, k,
 # n_known, next_epoch, total_epochs], <f8 parameters, velocity and prototypes,
-# <i8 counts and known ids, and per rng stream (4,) <u8 [state, inc as low and
-# high halves], () u1 has_uint32, () <u4 uinteger.
+# <i8 counts and known rows 0..n_known-1, and per rng stream (4,) <u8 [state,
+# inc as low and high halves], () u1 has_uint32, () <u4 uinteger.
 # ---------------------------------------------------------------------------
 
 _RNG_STREAMS_SAVED = ("data", "augment", "init")
@@ -561,11 +562,11 @@ def checkpoint_save(path, state: TrainState) -> None:
     mlp, store = state.mlp, state.store
     m, h, d = mlp.dims
     blocks = [np.array([CHECKPOINT_VERSION, m, h, d, store.n_classes,
-                        len(store.known_ids), state.next_epoch, state.total_epochs],
+                        store.n_known, state.next_epoch, state.total_epochs],
                        "<u4")]
     blocks += [as_f64(block).astype("<f8") for block in (
         *mlp.params().values(), *state.velocity.params().values(), store.matrix)]
-    blocks += [store.assignment_counts.astype("<i8"), store.known_ids.astype("<i8")]
+    blocks += [store.assignment_counts.astype("<i8"), np.arange(store.n_known, dtype="<i8")]
     for name in _RNG_STREAMS_SAVED:
         s, inc, has32, uint = state.rng_words[name]
         blocks += [np.array([s & _U64, s >> 64, inc & _U64, inc >> 64], "<u8"),
@@ -584,9 +585,9 @@ def checkpoint_load(path) -> TrainState:
     velocity = Mlp(*(reader.take(shape, "<f8") for shape in shapes))
     matrix = reader.take((k, d), "<f8")
     counts = reader.take((k,), "<i8")
-    known_ids = reader.take((n_known,), "<i8")
-    novel_ids = np.setdiff1d(np.arange(k), known_ids)
-    store = PrototypeStore(matrix, known_ids, novel_ids, counts)
+    if n_known > k or not np.array_equal(reader.take((n_known,), "<i8"), np.arange(n_known)):
+        raise Corrupt(f"the known-row block is not 0..n_known-1 (n_known={n_known}, k={k})")
+    store = PrototypeStore(matrix, n_known, counts)
     rng_words = {}
     for name in _RNG_STREAMS_SAVED:
         s_lo, s_hi, inc_lo, inc_hi = (int(v) for v in reader.take((4,), "<u8"))

@@ -72,19 +72,20 @@ class TestGenData:
 
     def test_kappa_past_the_float_limit_fails_fast(self, tmp_path):
         # in a child process with a timeout, so a sampler that hangs fails the
-        # test in seconds
+        # test in seconds; at dim 1000, 4.4e18 is where rounding alone hangs it
         out = tmp_path / "k.ocft"
         env = {**os.environ,
                "PYTHONPATH": str(Path(opencon.__file__).resolve().parent.parent)}
-        done = subprocess.run(
-            [sys.executable, "-m", "opencon.cli", "gen-data", "--classes", "2",
-             "--per-class", "3", "--dim", "4", "--kappa", "1e20", "--out", str(out)],
-            env=env, capture_output=True, timeout=60)
-        assert done.returncode == 1
-        assert done.stderr.startswith(b"error: kappa must be >= 0 and < ")
-        assert done.stderr.endswith(b"in dimension 4, got 1e+20\n")
-        assert done.stderr.count(b"\n") == 1
-        assert not out.exists() and not Path(str(out) + ".json").exists()
+        for dim, kappa in (("4", "1e20"), ("1000", "4.4e18")):
+            done = subprocess.run(
+                [sys.executable, "-m", "opencon.cli", "gen-data", "--classes", "2",
+                 "--per-class", "3", "--dim", dim, "--kappa", kappa, "--out", str(out)],
+                env=env, capture_output=True, timeout=60)
+            assert done.returncode == 1
+            assert done.stderr.startswith(b"error: kappa must be >= 0 and < 2**52 = ")
+            assert done.stderr.endswith(f"got {float(kappa)!r}\n".encode())
+            assert done.stderr.count(b"\n") == 1
+            assert not out.exists() and not Path(str(out) + ".json").exists()
 
     def test_empty_dataset_warns_but_succeeds(self, tmp_path, capsys):
         out = tmp_path / "empty.ocft"
@@ -575,6 +576,27 @@ def test_negative_seed_names_the_seed(argv, data_file, tmp_path, capsys):
     rc = main([*argv(data_file, tmp_path), "--no-timestamps"])
     assert rc == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not any(path.name.startswith("out") for path in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    lambda data, tmp: train_args(data, ["--metrics", str(tmp / "out.jsonl"),
+                                        "--summary", str(tmp / "out.json")]),
+    lambda data, tmp: ["ablate", "--data", str(data), "--epochs", "1",
+                       "--out", str(tmp / "out.json")],
+    lambda data, tmp: ["estimate-k", "--data", str(data), "--range", "2:4",
+                       "--out", str(tmp / "out.json")],
+], ids=["train", "ablate", "estimate-k"])
+def test_zero_width_feature_file_is_refused(argv, tmp_path, capsys):
+    # a binary file of 20 labeled rows with no feature column
+    data = tmp_path / "wide0.ocft"
+    data.write_bytes(b"OCFT" + struct.pack("<IIIB", 1, 20, 0, 1)
+                     + np.arange(20, dtype="<i4").tobytes())
+    rc = main([*argv(data, tmp_path), "--no-timestamps"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "m = 0" in err
     assert not any(path.name.startswith("out") for path in tmp_path.iterdir())
 
 

@@ -26,8 +26,8 @@ def tiny_state():
     w1, b1, w2, b2 = np.split(grid, np.cumsum([m * h, h, d * h]))
     mlp = Mlp(w1.reshape(h, m), b1, w2.reshape(d, h), b2)
     velocity = Mlp(-mlp.w1, -mlp.b1, 2 * mlp.w2, 2 * mlp.b2)
-    store = PrototypeStore(np.array([[1.0, 0.0], [0.0, 1.0], [0.6, -0.8]]),
-                           [0, 1], [2], np.array([4, 0, 9]))
+    store = PrototypeStore(np.array([[1.0, 0.0], [0.0, 1.0], [0.6, -0.8]]), 2,
+                           np.array([4, 0, 9]))
     rng_words = {
         "data": ((1 << 127) + 5, (3 << 64) + 1, 1, 4_000_000_000),
         "augment": (7, 9, 0, 0),
@@ -84,7 +84,7 @@ class TestLayout:
             np.testing.assert_array_equal(getattr(back.velocity, name), getattr(vel, name))
         np.testing.assert_array_equal(back.store.matrix, store.matrix)
         np.testing.assert_array_equal(back.store.assignment_counts, [4, 0, 9])
-        np.testing.assert_array_equal(back.store.novel_ids, [2])
+        assert back.store.n_known == 2
 
 
 @pytest.fixture(scope="module")
@@ -112,14 +112,35 @@ def written(tmp_path_factory):
 @given(st.data())
 def test_damaged_files_raise_the_format_error(written, data):
     probe, files = written
-    blob, load, error = files[data.draw(st.sampled_from(sorted(files)))]
-    if data.draw(st.booleans()):
+    name = data.draw(st.sampled_from(sorted(files)))
+    blob, load, error = files[name]
+    damages = ["truncate", "extend"] + (["known rows"] if name == "checkpoint" else [])
+    damage = data.draw(st.sampled_from(damages))
+    if damage == "truncate":
         damaged = blob[:data.draw(st.integers(0, len(blob) - 1))]
-    else:
+    elif damage == "extend":
         damaged = blob + data.draw(st.binary(min_size=1, max_size=16))
+    else:
+        # the known-row block 0, 1 sits before the three rng streams' 37 bytes each
+        rows = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=2, max_size=2)
+                         .filter(lambda r: r != [0, 1]))
+        at = len(blob) - 3 * 37 - 16
+        damaged = blob[:at] + np.array(rows, "<i8").tobytes() + blob[at + 16:]
     probe.write_bytes(damaged)
     with pytest.raises(error):
         load(probe)
+
+
+def test_more_known_rows_than_prototypes_is_corrupt(tmp_path):
+    # a header whose n_known exceeds k, with the block 0..n_known-1 it names
+    path = tmp_path / "c.ockp"
+    checkpoint_save(path, tiny_state())
+    blob = path.read_bytes()
+    at = len(blob) - 3 * 37 - 16
+    path.write_bytes(blob[:24] + struct.pack("<I", 4) + blob[28:at]
+                     + np.arange(4, dtype="<i8").tobytes() + blob[at + 16:])
+    with pytest.raises(Corrupt, match="n_known=4, k=3"):
+        checkpoint_load(path)
 
 
 class FailingBlock:

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opencon
 from opencon.core import (
     MIN_TEMPERATURE,
     STREAMS,
@@ -369,18 +375,36 @@ class TestVmf:
         with pytest.raises(ValueError, match="kappa"):
             VmfParams(np.array([1.0, 0.0]), kappa)
 
-    @pytest.mark.parametrize("dim", [2, 4, 32, 128])
+    @pytest.mark.parametrize("dim", [2, 4, 32, 128, 1000])
     def test_kappa_limit_is_where_the_sampler_stops(self, dim):
-        # from (dim - 1) * 2**52 on, x0 rounds to 1 and the radial rejection
-        # test would never accept; one float below, sampling still works
+        # from 2**52 on, rounding in the radial rejection test can refuse
+        # every proposal (at dim 2, x0 rounds to 1 there; at dim 1000, 4.4e18
+        # hangs); one float below, sampling still works
         mu = np.zeros(dim)
         mu[0] = 1.0
-        limit = (dim - 1) * 2.0 ** 52
-        for kappa in (limit, np.float64(1e200), 1e300):
-            with pytest.raises(ValueError, match=f"in dimension {dim}, got "):
+        limit = 2.0 ** 52
+        for kappa in (limit, (dim - 1) * limit, np.float64(1e200), 1e300):
+            with pytest.raises(ValueError, match=r"< 2\*\*52 = 4\.5036e\+15, got "):
                 VmfParams(mu, kappa)
         out = sample_vmf(VmfParams(mu, np.nextafter(limit, 0.0)), 50, Rng(0, "data"))
         np.testing.assert_allclose(out @ mu, 1.0, atol=1e-9)
+
+    def test_no_dimension_hangs_one_float_below_the_limit(self):
+        # in a child process with a timeout, so a hang fails the test; each
+        # call returns in well under a millisecond
+        script = (
+            "import numpy as np\n"
+            "from opencon.core import Rng, _vmf_radial\n"
+            "kappa = np.nextafter(2.0 ** 52, 0.0)\n"
+            "dims = [*range(2, 4097), *np.geomspace(4097, 1e6, 50).astype(int)]\n"
+            "for dim in dims:\n"
+            "    _vmf_radial(kappa, int(dim), 200, Rng(0, 'data'))\n"
+            "print(len(dims))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(opencon.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == b"4145\n"
 
     def test_zero_count(self):
         mu = np.zeros(4)

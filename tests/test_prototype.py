@@ -40,8 +40,7 @@ E2 = np.array([0.0, 1.0])
 
 
 def identity_store(n_known=1):
-    return PrototypeStore(np.stack([E1, E2]), np.arange(n_known),
-                          np.arange(n_known, 2))
+    return PrototypeStore(np.stack([E1, E2]), n_known)
 
 
 def unit_with_first_coord(s):
@@ -54,8 +53,7 @@ class TestInit:
         store = init_prototypes(7, 5, Rng(0, "init"), n_known=3)
         np.testing.assert_allclose(np.linalg.norm(store.matrix, axis=1), 1.0,
                                    atol=1e-9)
-        assert store.known_ids.tolist() == [0, 1, 2]
-        assert store.novel_ids.tolist() == [3, 4, 5, 6]
+        assert store.n_known == 3
 
     def test_seeds_differ(self):
         a = init_prototypes(4, 3, Rng(1, "init"))
@@ -67,9 +65,23 @@ class TestInit:
         for i, j in itertools.combinations(range(4), 2):
             assert not np.allclose(store.matrix[i], store.matrix[j])
 
-    def test_partition_validated(self):
-        with pytest.raises(Exception):
-            PrototypeStore(np.stack([E1, E2]), np.array([0]), np.array([0, 1]))
+    def test_n_known_range_validated(self):
+        for n_known in (-1, 3):
+            with pytest.raises(OpenConError, match=rf"n_known must lie in \[0, 2\], got {n_known}"):
+                PrototypeStore(np.stack([E1, E2]), n_known)
+
+    def test_known_matrix_is_a_view(self):
+        store = init_prototypes(5, 3, Rng(0, "init"), n_known=2)
+        known = store.known_matrix()
+        assert np.shares_memory(known, store.matrix)
+        assert known.tobytes() == store.matrix[:2].tobytes()
+        before = store.matrix.tobytes()
+        z = l2_normalize(Rng(1, "data").normal(size=(6, 3)))
+        for variant in SCORE_VARIANTS:
+            ood_scores(z, store, variant, tau=0.5)
+        calibrate_threshold(z, store, 50)
+        ood_gate(z, store, 0.5)
+        assert store.matrix.tobytes() == before
 
 
 class TestPseudoLabel:
@@ -81,8 +93,7 @@ class TestPseudoLabel:
         store = identity_store()
         z = unit_with_first_coord(0.8)
         before = pseudo_labels(z[None, :], store)[0]
-        scaled = PrototypeStore(store.matrix.copy(), store.known_ids,
-                                store.novel_ids)
+        scaled = PrototypeStore(store.matrix.copy(), store.n_known)
         # argmax of similarities is unchanged by any positive rescaling of the
         # score vector, checked here through a monotone reparametrization
         sims = store.matrix @ z
@@ -100,8 +111,7 @@ class TestPseudoLabel:
 
     def test_tie_breaks_low_id(self):
         matrix = np.stack([E1, E1, E2])
-        store = PrototypeStore(matrix / np.linalg.norm(matrix, axis=1, keepdims=True),
-                               np.array([0]), np.array([1, 2]))
+        store = PrototypeStore(matrix / np.linalg.norm(matrix, axis=1, keepdims=True), 1)
         assert pseudo_labels(E1[None, :], store)[0] == 0
 
     def test_batched(self):
@@ -187,7 +197,7 @@ def per_view_update(store, labeled_z, labeled_y, novel_z, gamma):
     for z, c in zip(labeled_z, labeled_y):
         store.matrix[c] = l2_normalize(gamma * store.matrix[c] + (1.0 - gamma) * z)
         store.assignment_counts[c] += 1
-    rows = store.novel_ids
+    rows = np.arange(store.n_known, store.n_classes)
     for z in novel_z:
         if rows.size == 0:
             raise OpenConError("no prototype rows to predict against")
@@ -217,10 +227,7 @@ def update_problems(draw):
     else:
         def units(n):
             return l2_normalize(rng.normal(size=(n, d))) if n else np.zeros((0, d))
-    # a shuffled partition, so the novel rows need not be contiguous
-    rows = rng.permutation(n_classes)
-    store = PrototypeStore(units(n_classes), np.sort(rows[:n_known]),
-                           np.sort(rows[n_known:]))
+    store = PrototypeStore(units(n_classes), n_known)
     # any row, so that a label on a novel row pins the labeled-first order
     labeled_y = rng.integers(0, n_classes, size=n_l)
     return store, units(n_l), labeled_y, units(n_u), gamma
@@ -260,13 +267,13 @@ class TestUpdate:
     def test_tied_view_counts(self):
         # classes 3 and 1 tie on three views, class 0 has one: the prefix
         # layout orders them 1, 3, 0
-        store = PrototypeStore(self.units(0, 5), np.arange(4), np.array([4]))
+        store = PrototypeStore(self.units(0, 5), 4)
         labels = np.array([3, 1, 0, 1, 3, 3, 1])
         self.check_against_reference(store, self.units(1, 7), labels,
                                      self.units(2, 3))
 
     def test_known_class_without_labeled_view(self):
-        store = PrototypeStore(self.units(3, 6), np.arange(4), np.arange(4, 6))
+        store = PrototypeStore(self.units(3, 6), 4)
         before = store.matrix[2].copy()
         labels = np.array([0, 3, 0, 1, 3, 0])
         self.check_against_reference(store, self.units(4, 6), labels,
@@ -276,17 +283,10 @@ class TestUpdate:
 
     def test_labeled_view_on_novel_row(self):
         # the labeled step on novel row 3 lands before the novel views pick
-        store = PrototypeStore(self.units(6, 4), np.arange(2), np.arange(2, 4))
+        store = PrototypeStore(self.units(6, 4), 2)
         labels = np.array([3, 0, 3, 1, 3])
         self.check_against_reference(store, self.units(7, 5), labels,
                                      self.units(8, 6))
-
-    def test_shuffled_partition(self):
-        store = PrototypeStore(self.units(9, 6), np.array([1, 4, 5]),
-                               np.array([0, 2, 3]))
-        labels = np.array([5, 4, 5, 1, 5, 4, 2])
-        self.check_against_reference(store, self.units(10, 7), labels,
-                                     self.units(11, 5))
 
     def test_hand_arithmetic(self):
         store = identity_store(n_known=1)
@@ -364,8 +364,9 @@ class TestUpdate:
 
     def test_warm_start(self):
         store = init_prototypes(3, 2, Rng(13, "init"), n_known=2)
-        z = np.stack([E1, E1, E2, E2])
-        y = np.array([0, 0, 1, 1])
+        # a view labeled with novel row 2 leaves that row alone
+        z = np.stack([E1, E1, E2, E2, E1])
+        y = np.array([0, 0, 1, 1, 2])
         novel_before = store.matrix[2].copy()
         warm_start_known(store, z, y)
         np.testing.assert_allclose(store.matrix[0], E1, atol=1e-12)
@@ -393,7 +394,7 @@ class TestOodScores:
             ood_scores(E1, identity_store(n_known=2), variant, tau=tau)
 
     def test_single_prototype_same_ranking(self):
-        store = PrototypeStore(np.stack([E1, E2]), np.array([0]), np.array([1]))
+        store = PrototypeStore(np.stack([E1, E2]), 1)
         rng = Rng(14, "data")
         z = l2_normalize(rng.normal(size=(30, 2)))
         base = ood_scores(z, store, "max_cosine")
@@ -523,7 +524,7 @@ def scoring_problems(draw):
     if draw(st.booleans()):
         z = z[0]
     matrix = l2_normalize(rng.normal(size=(n_classes, d)) + 1e-3)
-    store = PrototypeStore(matrix, np.arange(n_known), np.arange(n_known, n_classes))
+    store = PrototypeStore(matrix, n_known)
     tau = draw(st.sampled_from([0.05, 0.1, 0.7, 1.0, 2.0]))
     return z, store, tau
 
@@ -628,7 +629,7 @@ def test_known_max_scores_match_the_row_max(data):
     if data.draw(st.booleans(), "nan_row"):
         z[rng.integers(n)] = np.nan
     matrix = l2_normalize(rng.normal(size=(n_classes, d)) + 1e-3)
-    store = PrototypeStore(matrix, np.arange(n_known), np.arange(n_known, n_classes))
+    store = PrototypeStore(matrix, n_known)
     got, want = ood_scores(z, store), known_max_by_row(z, store)
     assert got.shape == want.shape == (n,)
     assert got.tobytes() == want.tobytes()

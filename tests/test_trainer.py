@@ -720,13 +720,19 @@ class TestOneSidedPool:
 
 
 class TestKnownRowsMustMatchTheSplit:
-    @pytest.mark.parametrize("known_ids", [[0, 1], [0, 1, 2, 3], [3, 4, 5]])
+    # (the model's known rows, the split's known classes)
+    @pytest.mark.parametrize("known_ids", [([0, 1], [0, 1, 2]), ([0, 1, 2, 3], [0, 1, 2]),
+                                           ([0, 1, 2], [3, 4, 5])])
     def test_mismatch_raises_before_any_pass(self, known_ids, monkeypatch):
+        rows, classes = known_ids
         mlp, store, split = random_model(6, 40, 8, 8, 8, n_classes=6, n_known=3)
-        other = PrototypeStore(store.matrix, known_ids,
-                               np.setdiff1d(np.arange(6), known_ids))
-        message = (f"the model's known prototype rows {known_ids} are not the "
-                   f"split's known classes [0, 1, 2]")
+        other = PrototypeStore(store.matrix, len(rows))
+        # the labeled rows' classes 0..2 move to the split's known classes
+        labels = split.labels.copy()
+        labels[split.labeled_idx] += classes[0]
+        split = dataclasses.replace(split, labels=labels, known_classes=np.array(classes))
+        message = (f"the model's known prototype rows {rows} are not the "
+                   f"split's known classes {classes}")
         threads, _ = forward_calls(monkeypatch)
         for evaluate, tau in ((evaluate_model, ()), (detection_report, (0.7,)),
                               (evaluate_and_detect, (0.7,))):
@@ -795,8 +801,7 @@ class TestCheckpoint:
         state = checkpoint_load(path)
         velocity = state.velocity
         arrays = [*state.mlp.params().values(), velocity.w1, velocity.b1, velocity.w2,
-                  velocity.b2, state.store.matrix, state.store.assignment_counts,
-                  state.store.known_ids]
+                  velocity.b2, state.store.matrix, state.store.assignment_counts]
         before = [a.copy() for a in arrays]
         train(cfg, split, start_state=state)
         for old, new in zip(before, arrays, strict=True):
