@@ -449,11 +449,11 @@ def _write_binary(path, dataset: Dataset) -> None:
 def _read_binary(path) -> Dataset:
     reader = BlockReader(path, FEATURE_MAGIC, ParseError)
     version, n, m = (int(v) for v in reader.take((3,), "<u4"))
-    has_labels = int(reader.take((), "u1"))
     if version != FEATURE_VERSION:
         raise ParseError(f"unsupported version {version} (offset 4)")
     if m == 0:
         raise ParseError("rows need at least one feature, the file has m = 0 (offset 12)")
+    has_labels = reader.flag("has_labels")
     feats = reader.take((n, m), "<f4", np.float64)
     labels = reader.take((n,), "<i4", np.int64) if has_labels else np.full(n, UNLABELED)
     reader.done()
@@ -512,6 +512,13 @@ class BlockReader:
         arr = np.frombuffer(self._blob, dtype, count, self._off).reshape(shape)
         self._off += need
         return arr.astype(as_dtype or dtype)
+
+    def flag(self, name: str) -> int:
+        """The next block, a () u1 named `name` that must be 0 or 1."""
+        at, value = self._off, int(self.take((), "u1"))
+        if value > 1:
+            raise self._error(f"{name} byte {value} at offset {at}, expected 0 or 1")
+        return value
 
     def done(self) -> None:
         """Call after the last block: the file must end exactly there."""

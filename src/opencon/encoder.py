@@ -74,20 +74,18 @@ class Tape:
 
 
 def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, Tape]:
-    """Embed `x` ((m,) or (n, m)) onto the unit sphere.
+    """Embed the rows of `x`, an (n, m) array, onto the unit sphere.
 
     Raises:
+        ShapeMismatch: if `x` is not an (n, m) array for the network's m.
         DegenerateVector: if a pre-normalization output has norm <= 1e-12.
     """
     x = as_f64(x)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    m, h, d = mlp.dims
-    if xb.shape[1] != m:
-        raise ShapeMismatch(f"input dim {xb.shape[1]} != network in_dim {m}")
+    if x.ndim != 2 or x.shape[1] != mlp.dims[0]:
+        raise ShapeMismatch(f"input shape {x.shape} is not (n, {mlp.dims[0]}) rows")
     # each bias add, the ReLU and the scaling run in its GEMM's own result;
     # the norm is np.linalg.norm(z, axis=1)'s expression for real input
-    hidden = xb @ mlp.w1.T
+    hidden = x @ mlp.w1.T
     hidden += mlp.b1
     np.maximum(hidden, 0.0, out=hidden)
     z = hidden @ mlp.w2.T
@@ -97,8 +95,7 @@ def forward(mlp: Mlp, x: np.ndarray) -> tuple[np.ndarray, Tape]:
         raise DegenerateVector("pre-normalization output collapsed to zero")
     inv_norm = 1.0 / norms
     z *= inv_norm[:, None]
-    tape = Tape(xb, hidden, inv_norm, z, mlp.dims)
-    return (z[0] if single else z), tape
+    return z, Tape(x, hidden, inv_norm, z, mlp.dims)
 
 
 def backward(mlp: Mlp, tape: Tape, grad_z: np.ndarray) -> Mlp:
@@ -110,8 +107,6 @@ def backward(mlp: Mlp, tape: Tape, grad_z: np.ndarray) -> Mlp:
     if tape.dims != mlp.dims:
         raise TapeMismatch(f"tape dims {tape.dims} != network dims {mlp.dims}")
     grad_z = as_f64(grad_z)
-    if grad_z.ndim == 1:
-        grad_z = grad_z[None, :]
     if grad_z.shape != tape.z.shape:
         raise TapeMismatch(f"grad shape {grad_z.shape} != tape {tape.z.shape}")
     radial = np.sum(grad_z * tape.z, axis=1, keepdims=True)

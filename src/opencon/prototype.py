@@ -213,12 +213,9 @@ def ood_scores(z: np.ndarray, store: PrototypeStore, variant: str = "max_cosine"
     Raises:
         InvalidTemperature: if tau is not finite and > 0, for every variant.
         UnknownVariant: for variants other than max_cosine | msp | energy.
+        ValueError: if `z` is not an (n, d) array of rows.
     """
-    z2 = as_f64(z)
-    single = z2.ndim == 1
-    logits = (z2[None, :] if single else z2) @ store.known_matrix().T
-    scores, = known_logit_scores(logits, (variant,), tau)
-    return scores[0] if single else scores
+    return known_logit_scores(as_f64(z) @ store.known_matrix().T, (variant,), tau)[0]
 
 
 def known_logit_scores(logits: np.ndarray, names: tuple[str, ...],
@@ -232,11 +229,14 @@ def known_logit_scores(logits: np.ndarray, names: tuple[str, ...],
     Raises:
         InvalidTemperature: if tau is not finite and > 0.
         UnknownVariant: for names other than max_cosine | msp | energy.
+        ValueError: if `logits` is not 2-D.
     """
     check_temperature(tau)
     for name in names:
         if name not in SCORE_VARIANTS:
             raise UnknownVariant(f"variant {name!r} not in {SCORE_VARIANTS}")
+    if logits.ndim != 2:
+        raise ValueError(f"scores need rows of known logits, got shape {logits.shape}")
     # a max is exact in any order, and down the columns of the transposed copy
     # it runs as a few long passes instead of one short pass per row
     top = logits.T.copy().max(axis=0)

@@ -203,8 +203,8 @@ class TrainResult:
         return self.reports[-1]
 
 
-# Rows of the unlabeled pool that evaluation embeds at a time: the pass's
-# temporaries scale with this block, never with the pool.
+# The row unit of `_row_blocks`, by which evaluation and training embed a
+# pool: the temporaries scale with a block, never with the pool.
 EVAL_BLOCK_ROWS = 256
 # Encoder multiply-adds per row, h * (m + d), from which evaluation's second
 # thread won at least 9 of 10 timed pairs on a measured grid (GEMMs release the GIL).
@@ -216,48 +216,45 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
+def _row_blocks(n: int) -> list[np.ndarray]:
+    return np.array_split(np.arange(n), max(1, n // EVAL_BLOCK_ROWS))
+
+
 def _embed_rows(mlp: Mlp, features: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """`forward(mlp, features[rows])[0]`, embedded in n // EVAL_BLOCK_ROWS
-    near-equal row blocks of B to 2B - 1 rows (B = EVAL_BLOCK_ROWS), so the
-    gathered rows, the hidden layer and the norm's temporaries scale with the
-    block, never with `rows`. At least B rows keep each product on the whole
-    pool's OpenBLAS kernel, so the bytes are the whole pool's for layer
-    widths 5-192 and multiples of 8; a shorter block (a fixed partition's
-    tail, or a half of B + 1 rows) can fall to the small-matrix kernel."""
+    """`forward(mlp, features[rows])[0]`, one `_row_blocks` block at a time:
+    n // B near-equal blocks of B to 2B - 1 rows (B = EVAL_BLOCK_ROWS), so
+    the temporaries scale with the block, never with `rows`, and each product
+    stays on the whole pool's OpenBLAS kernel: the bytes are one whole-pool
+    `forward`'s at layer widths 5-192 and at multiples of 8."""
     z = np.empty((len(rows), mlp.dims[2]))
-    start = 0
-    for block in np.array_split(rows, max(1, len(rows) // EVAL_BLOCK_ROWS)):
-        z[start:start + len(block)], _ = forward(mlp, features[block])
-        start += len(block)
+    for block in _row_blocks(len(rows)):
+        z[block], _ = forward(mlp, features[rows[block]])
     return z
 
 
 def _pool_pass(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bool,
                tau: float | None) -> tuple[np.ndarray | None, dict[str, np.ndarray]]:
-    """Embed the unlabeled pool once, EVAL_BLOCK_ROWS rows at a time, keeping
-    per row only the predicted class (if `predict`) and, when `tau` is given,
-    the logits against the known prototypes, which one `known_logit_scores`
-    call turns into every detection variant's score once the pool is done.
-    Past the gate below, a helper thread embeds the odd blocks, each into its
-    own slice, so the outputs stay bitwise.
+    """Embed the unlabeled pool once, in `_row_blocks`' blocks, keeping per
+    row only the predicted class (if `predict`) and, when `tau` is given, the
+    known-prototype logits, which one `known_logit_scores` call scores once
+    the pool is done. Past the gate below, a helper thread embeds odd blocks.
     Non-finite parameters, prototypes or feature rows raise before their GEMMs."""
     for name, value in {**mlp.params(), "prototypes": store.matrix}.items():
         if not np.isfinite(value).all():
             raise OpenConError(f"cannot evaluate with non-finite {name}")
     rows = split.unlabeled_idx
-    n = len(rows)
-    preds = np.empty(n, np.int64) if predict else None
+    blocks = _row_blocks(len(rows))
+    preds = np.empty(len(rows), np.int64) if predict else None
     # the operand layout of ood_scores' product, so each block's logits are its bits
     known_t = store.known_matrix().T
-    logits = np.empty((n, known_t.shape[1])) if tau is not None else None
+    logits = np.empty((len(rows), known_t.shape[1])) if tau is not None else None
     failure = []  # the first exception of either lane; the other stops at its next block
 
-    def lane(first: int, lanes: int) -> None:
+    def lane(own: list[np.ndarray]) -> None:
         try:
-            for start in range(first * EVAL_BLOCK_ROWS, n, lanes * EVAL_BLOCK_ROWS):
+            for block in own:
                 if failure:
                     return
-                block = slice(start, start + EVAL_BLOCK_ROWS)
                 x = split.features[rows[block]]
                 if not np.isfinite(x).all():
                     row = rows[block][np.argmin(np.isfinite(x).all(axis=1))]
@@ -271,15 +268,15 @@ def _pool_pass(mlp: Mlp, store: PrototypeStore, split: SplitDataset, predict: bo
             failure.append(exc)
 
     macs = mlp.w1.size + mlp.w2.size  # h * (m + d)
-    if n > EVAL_BLOCK_ROWS and macs >= EVAL_LANE_MIN_MACS and _usable_cpus() > 1:
-        helper = threading.Thread(target=lane, args=(1, 2), name="opencon-eval-lane")
+    if len(blocks) > 1 and macs >= EVAL_LANE_MIN_MACS and _usable_cpus() > 1:
+        helper = threading.Thread(target=lane, args=(blocks[1::2],), name="opencon-eval-lane")
         helper.start()
         try:
-            lane(0, 2)
+            lane(blocks[0::2])
         finally:
             helper.join()
     else:
-        lane(0, 1)
+        lane(blocks)
     if failure:
         raise failure[0]
     if logits is None:
@@ -591,7 +588,7 @@ def checkpoint_load(path) -> TrainState:
     rng_words = {}
     for name in _RNG_STREAMS_SAVED:
         s_lo, s_hi, inc_lo, inc_hi = (int(v) for v in reader.take((4,), "<u8"))
-        has32, uint = int(reader.take((), "u1")), int(reader.take((), "<u4"))
+        has32, uint = reader.flag(f"{name} has_uint32"), int(reader.take((), "<u4"))
         rng_words[name] = (s_lo | s_hi << 64, inc_lo | inc_hi << 64, has32, uint)
     reader.done()
     return TrainState(mlp, velocity, store, next_epoch, total_epochs, rng_words)

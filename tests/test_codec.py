@@ -114,9 +114,21 @@ def test_damaged_files_raise_the_format_error(written, data):
     probe, files = written
     name = data.draw(st.sampled_from(sorted(files)))
     blob, load, error = files[name]
-    damages = ["truncate", "extend"] + (["known rows"] if name == "checkpoint" else [])
+    damages = ["truncate", "extend", "flag"]
+    damages += ["known rows"] if name == "checkpoint" else []
     damage = data.draw(st.sampled_from(damages))
-    if damage == "truncate":
+    match = None
+    if damage == "flag":
+        # a flag byte other than 0 or 1: has_labels at offset 16, or a rng
+        # stream's has_uint32 after its 32 state bytes
+        if name == "checkpoint":
+            at = len(blob) - 37 * data.draw(st.integers(1, 3)) + 32
+        else:
+            at = 16
+        value = data.draw(st.integers(2, 255))
+        damaged = blob[:at] + bytes([value]) + blob[at + 1:]
+        match = f"byte {value} at offset {at}, expected 0 or 1"
+    elif damage == "truncate":
         damaged = blob[:data.draw(st.integers(0, len(blob) - 1))]
     elif damage == "extend":
         damaged = blob + data.draw(st.binary(min_size=1, max_size=16))
@@ -127,7 +139,7 @@ def test_damaged_files_raise_the_format_error(written, data):
         at = len(blob) - 3 * 37 - 16
         damaged = blob[:at] + np.array(rows, "<i8").tobytes() + blob[at + 16:]
     probe.write_bytes(damaged)
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         load(probe)
 
 

@@ -49,9 +49,8 @@ def numeric_param_grad(mlp, x, loss_fn, h=1e-5):
 class TestForward:
     def test_constant_network(self):
         mlp = Mlp(np.zeros((4, 3)), np.zeros(4), np.zeros((2, 4)), np.array([3.0, 4.0]))
-        for x in (np.zeros(3), np.ones(3), np.array([-1.0, 2.0, 0.5])):
-            z, _ = forward(mlp, x)
-            np.testing.assert_allclose(z, [0.6, 0.8], atol=1e-12)
+        z, _ = forward(mlp, np.array([np.zeros(3), np.ones(3), [-1.0, 2.0, 0.5]]))
+        np.testing.assert_allclose(z, [[0.6, 0.8]] * 3, atol=1e-12)
 
     def test_identity_like(self):
         # relu(x) - relu(-x) = x reproduces the (normalized) input
@@ -59,12 +58,10 @@ class TestForward:
         w1 = np.vstack([np.eye(m), -np.eye(m)])
         w2 = np.hstack([np.eye(m), -np.eye(m)])
         mlp = Mlp(w1, np.zeros(2 * m), w2, np.zeros(m))
-        rng = Rng(0, "data")
-        for _ in range(10):
-            x = rng.normal(size=m)
-            z, _ = forward(mlp, x)
-            expect = x / np.linalg.norm(x)
-            assert z @ expect > 0.999
+        x = Rng(0, "data").normal(size=(10, m))
+        z, _ = forward(mlp, x)
+        expect = x / np.linalg.norm(x, axis=1, keepdims=True)
+        assert np.all(np.sum(z * expect, axis=1) > 0.999)
 
     def test_unit_norm(self):
         mlp = Mlp.init(6, 12, 5, Rng(1, "init"))
@@ -74,12 +71,19 @@ class TestForward:
     def test_degenerate(self):
         mlp = Mlp(np.zeros((4, 3)), np.zeros(4), np.zeros((2, 4)), np.zeros(2))
         with pytest.raises(DegenerateVector):
-            forward(mlp, np.ones(3))
+            forward(mlp, np.ones((1, 3)))
 
     def test_shape_check(self):
         mlp = Mlp.init(6, 12, 5, Rng(1, "init"))
         with pytest.raises(ShapeMismatch):
             forward(mlp, np.ones(7))
+
+    @pytest.mark.parametrize("shape", [(), (6,), (1, 1, 6)])
+    def test_only_row_stacks(self, shape):
+        # a single row is a (1, m) stack; any other rank is refused
+        mlp = Mlp.init(6, 12, 5, Rng(1, "init"))
+        with pytest.raises(ShapeMismatch, match=r"is not \(n, 6\) rows"):
+            forward(mlp, np.ones(shape))
 
 
 def frozen_forward(mlp, x):
@@ -174,11 +178,18 @@ class TestBackward:
     def test_tape_mismatch(self):
         mlp = Mlp.init(5, 8, 4, Rng(9, "init"))
         other = Mlp.init(5, 9, 4, Rng(9, "init"))
-        z, tape = forward(mlp, np.ones(5))
+        z, tape = forward(mlp, np.ones((1, 5)))
         with pytest.raises(TapeMismatch):
             backward(other, tape, z)
         with pytest.raises(TapeMismatch):
             backward(mlp, tape, np.ones((3, 4)))
+
+    def test_only_row_stacks(self):
+        # the gradient of a one-row tape is a (1, d) stack, not a d-vector
+        mlp = Mlp.init(5, 8, 4, Rng(9, "init"))
+        z, tape = forward(mlp, np.ones((1, 5)))
+        with pytest.raises(TapeMismatch, match=r"grad shape \(4,\)"):
+            backward(mlp, tape, z[0])
 
 
 class TestOptimizer:

@@ -377,11 +377,19 @@ class TestUpdate:
 class TestOodScores:
     def test_hand_values(self):
         store = identity_store(n_known=2)
-        assert ood_scores(E1, store, "max_cosine") == pytest.approx(1.0)
-        assert ood_scores(E1, store, "msp", tau=1.0) == pytest.approx(
-            np.e / (np.e + 1), abs=1e-12)
-        assert ood_scores(E1, store, "energy", tau=1.0) == pytest.approx(
-            np.log(np.e + 1), abs=1e-12)
+        z = E1[None, :]
+        assert ood_scores(z, store, "max_cosine") == pytest.approx([1.0])
+        assert ood_scores(z, store, "msp", tau=1.0) == pytest.approx(
+            [np.e / (np.e + 1)], abs=1e-12)
+        assert ood_scores(z, store, "energy", tau=1.0) == pytest.approx(
+            [np.log(np.e + 1)], abs=1e-12)
+
+    @pytest.mark.parametrize("variant", SCORE_VARIANTS)
+    def test_only_row_stacks(self, variant):
+        # a single embedding is a (1, d) stack; an unknown variant or a bad
+        # tau still raises its own error first (the tests above pass E1)
+        with pytest.raises(ValueError, match=r"got shape \(2,\)"):
+            ood_scores(E1, identity_store(n_known=2), variant)
 
     def test_unknown_variant(self):
         with pytest.raises(UnknownVariant):
@@ -475,18 +483,14 @@ def test_fpr95_equals_ceil_rank(n_id, n_ood, levels, seed):
 def ood_scores_per_variant(z, store, variant, tau):
     """One known-logits product and one score per call."""
     check_temperature(tau)
-    z2 = np.asarray(z, np.float64)
-    single = z2.ndim == 1
-    if single:
-        z2 = z2[None, :]
-    logits = z2 @ store.known_matrix().T
+    logits = np.asarray(z, np.float64) @ store.known_matrix().T
     if variant == "max_cosine":
         out = np.max(logits, axis=1)
     elif variant == "msp":
         out = np.max(softmax(logits, tau), axis=1)
     else:
         out = tau * log_sum_exp(logits / tau, axis=1)
-    return out[0] if single else out
+    return out
 
 
 def detection_metrics_by_scatter(id_scores, ood):
@@ -513,16 +517,14 @@ def metric_bytes(metrics) -> bytes:
 
 @st.composite
 def scoring_problems(draw):
-    """Unit embeddings (n of 1, 2-40 or 256 rows, or one 1-D row) and a store
-    with at least one known row; tau 0.05 makes exp underflow."""
+    """Unit embeddings (n of 1, 2-40 or 256 rows) and a store with at least
+    one known row; tau 0.05 makes exp underflow."""
     n = draw(st.one_of(st.just(1), st.integers(2, 40), st.just(256)))
     d = draw(st.integers(1, 16))
     n_classes = draw(st.integers(1, 8))
     n_known = draw(st.integers(1, n_classes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     z = l2_normalize(rng.normal(size=(n, d)) + 1e-3)
-    if draw(st.booleans()):
-        z = z[0]
     matrix = l2_normalize(rng.normal(size=(n_classes, d)) + 1e-3)
     store = PrototypeStore(matrix, n_known)
     tau = draw(st.sampled_from([0.05, 0.1, 0.7, 1.0, 2.0]))

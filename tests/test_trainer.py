@@ -585,7 +585,8 @@ class TestTwoLanePoolEvaluation:
     def test_failing_lane_raises_and_leaves_no_thread(self, lane, block, monkeypatch):
         mlp, store, split = random_model(1, 4 * SMALL_BLOCK + 5, 8, 8, 8, n_classes=6,
                                          n_known=3)
-        rows = split.unlabeled_idx[block * SMALL_BLOCK:(block + 1) * SMALL_BLOCK]
+        # the pool's four blocks of 34, 33, 33 and 33 rows
+        rows = np.array_split(split.unlabeled_idx, 4)[block]
         _, failed_in = forward_calls(monkeypatch, fail_on=split.features[rows])
         before = threading.active_count()
         with two_lanes(), pytest.raises(DegenerateVector, match="injected"):
@@ -605,15 +606,13 @@ class CountingEmbedding(np.ndarray):
         return np.asarray(self) @ other
 
 
-def per_block_ood_scores(mlp, store, split, tau):
-    """Every detection variant's score of the pool, from one `forward` per
-    block of `trainer.EVAL_BLOCK_ROWS` rows and one `ood_scores` call per
-    block and variant."""
-    rows, block = split.unlabeled_idx, trainer.EVAL_BLOCK_ROWS
-    blocks = [forward(mlp, split.features[rows[start:start + block]])[0]
-              for start in range(0, len(rows), block)]
-    return {variant: np.concatenate([ood_scores(z, store, variant, tau) for z in blocks])
-            for variant in SCORE_VARIANTS}
+def unblocked_pass(mlp, store, split, tau):
+    """The pool's predictions and every detection variant's score, from one
+    `forward` of the whole pool, one `pseudo_labels` call and one
+    `ood_scores` call per variant."""
+    z, _ = forward(mlp, split.unlabeled_features())
+    return pseudo_labels(z, store), {variant: ood_scores(z, store, variant, tau)
+                                     for variant in SCORE_VARIANTS}
 
 
 class TestPoolPassScoring:
@@ -635,7 +634,7 @@ class TestPoolPassScoring:
         monkeypatch.setattr(trainer, "known_logit_scores", counting_scores)
         monkeypatch.setattr(CountingEmbedding, "products", [])
         preds, scores = trainer._pool_pass(mlp, store, split, True, tau)
-        blocks = [EVAL_BLOCK_ROWS] * 3 + [7]
+        blocks = [EVAL_BLOCK_ROWS + 3] + [EVAL_BLOCK_ROWS + 2] * 2
         # pseudo_labels takes its product on a plain array, so only the
         # known-logits products are counted
         assert CountingEmbedding.products == (
@@ -656,11 +655,74 @@ class TestPoolPassScoring:
                                              n_classes=7, n_known=5)
             patch = two_lanes()
         with patch:
-            want = per_block_ood_scores(mlp, store, split, tau)
+            _, want = unblocked_pass(mlp, store, split, tau)
             _, got = trainer._pool_pass(mlp, store, split, False, tau)
         assert list(got) == list(SCORE_VARIANTS)
         for variant in SCORE_VARIANTS:
             assert got[variant].tobytes() == want[variant].tobytes()
+
+
+def pool_sizes(b):
+    return [1, b - 1, b, b + 1, 2 * b + 1, 3 * b + 7]
+
+
+@st.composite
+def pool_models(draw, block_rows):
+    """A random model and a pool of one of `pool_sizes(block_rows)` rows, at
+    layer widths 5-64 and 5-12 known classes."""
+    n_pool = draw(st.sampled_from(pool_sizes(block_rows)))
+    m = draw(st.integers(1, 40))
+    h, d = draw(st.integers(5, 64)), draw(st.integers(5, 64))
+    n_known = draw(st.integers(5, 12))
+    n_classes = draw(st.integers(n_known + 1, n_known + 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    tau = draw(st.sampled_from([0.05, 0.7, 3.0]))
+    return random_model(seed, n_pool, m, h, d, n_classes, n_known), tau
+
+
+def assert_same_pass(got, want):
+    (got_preds, got_scores), (want_preds, want_scores) = got, want
+    assert got_preds.tobytes() == want_preds.tobytes()
+    assert list(got_scores) == list(want_scores) == list(SCORE_VARIANTS)
+    for variant in SCORE_VARIANTS:
+        assert got_scores[variant].tobytes() == want_scores[variant].tobytes()
+
+
+class TestOnePartition:
+    @settings(max_examples=40, deadline=None)
+    @given(pool_models(EVAL_BLOCK_ROWS))
+    def test_one_lane_is_the_unblocked_pass(self, problem):
+        (mlp, store, split), tau = problem
+        with mock.patch.object(trainer, "_usable_cpus", lambda: 1):
+            got = trainer._pool_pass(mlp, store, split, True, tau)
+        assert_same_pass(got, unblocked_pass(mlp, store, split, tau))
+
+    @settings(max_examples=40, deadline=None)
+    @given(pool_models(SMALL_BLOCK))
+    def test_two_lanes_are_one_lane(self, problem):
+        # blocks this short can take the small-matrix kernel, so the
+        # reference is one lane over the same blocks, not the unblocked pass
+        (mlp, store, split), tau = problem
+        with two_lanes():
+            two = trainer._pool_pass(mlp, store, split, True, tau)
+            with mock.patch.object(trainer, "_usable_cpus", lambda: 1):
+                one = trainer._pool_pass(mlp, store, split, True, tau)
+        assert_same_pass(two, one)
+
+    @pytest.mark.parametrize("n", pool_sizes(EVAL_BLOCK_ROWS) + [5 * EVAL_BLOCK_ROWS - 1])
+    def test_training_and_evaluation_embed_the_same_blocks(self, n, monkeypatch):
+        mlp, store, split = random_model(6, n, 4, 8, 8, n_classes=4, n_known=2)
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 1)
+        sizes = []
+        monkeypatch.setattr(trainer, "forward",
+                            lambda mlp_, x: sizes.append(len(x)) or forward(mlp_, x))
+        trainer._embed_rows(mlp, split.features, split.unlabeled_idx)
+        embedded, sizes[:] = sizes[:], []
+        trainer._pool_pass(mlp, store, split, True, 0.7)
+        assert sizes == embedded
+        assert sum(sizes) == n
+        assert len(sizes) == max(1, n // EVAL_BLOCK_ROWS)
+        assert n < EVAL_BLOCK_ROWS or min(sizes) >= EVAL_BLOCK_ROWS
 
 
 class TestDetectionReport:
