@@ -38,11 +38,11 @@ from opencon.trainer import (  # noqa: E402
     ABLATION_PRESETS,
     TrainConfig,
     _embed_rows,
+    _evaluate,
     ablate,
     checkpoint_load,
     checkpoint_save,
     detection_report,
-    evaluate_and_detect,
     json_clean,
     train,
 )
@@ -203,7 +203,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     split = _load_split(args, args.seed)
     state = checkpoint_load(args.checkpoint)
-    triple, detection = evaluate_and_detect(state.mlp, state.store, split, args.tau)
+    triple, _, detection = _evaluate(state.mlp, state.store, split, True, args.tau)
     payload = {
         "accuracy": dataclasses.asdict(triple),
         "converged_prototypes": converged_cluster_count(state.store),

@@ -334,14 +334,6 @@ def detection_report(mlp: Mlp, store: PrototypeStore, split: SplitDataset,
     return _evaluate(mlp, store, split, False, tau)[2]
 
 
-def evaluate_and_detect(mlp: Mlp, store: PrototypeStore, split: SplitDataset,
-                        tau: float) -> tuple[AccuracyTriple, dict[str, DetectionMetrics]]:
-    """`evaluate_model`'s triple and `detection_report`'s metrics from one
-    pass that embeds each unlabeled row once."""
-    triple, _, detections = _evaluate(mlp, store, split, True, tau)
-    return triple, detections
-
-
 def train_step(mlp: Mlp, optimizer: Optimizer, store: PrototypeStore, config: TrainConfig,
                batch_l, batch_u, epoch: int, iteration: int, lam: float | None = None):
     """One EM iteration, in place: encode both batches, gate and pseudo-label

@@ -19,9 +19,18 @@ from opencon.data import (
     generate_synthetic,
     make_split,
 )
-from opencon.encoder import Mlp, Optimizer, OptimizerConfig, forward
+from opencon.encoder import Mlp, Optimizer, OptimizerConfig, backward, forward
 from opencon.evaluation import accuracy_triple
-from opencon.objective import LossWeights
+from opencon.objective import (
+    EmptyPositiveSet,
+    LossBreakdown,
+    LossWeights,
+    build_sets_novel,
+    build_sets_simclr,
+    build_sets_supcon,
+    kl_regularizer,
+    per_sample_loss,
+)
 from opencon.prototype import (
     SCORE_VARIANTS,
     PrototypeStore,
@@ -41,7 +50,6 @@ from opencon.trainer import (
     checkpoint_load,
     checkpoint_save,
     detection_report,
-    evaluate_and_detect,
     evaluate_model,
     train,
     train_step,
@@ -341,6 +349,98 @@ class TestTrainStep:
         assert calls == {"forward": 2, "loss_opencon": 1, "update_prototypes": 1}
 
 
+def mean_anchor_loss(z, build_sets, keys, tau):
+    """The mean of `per_sample_loss` over the anchors that have a positive,
+    and its gradient with respect to `z`."""
+    losses, grad = [], np.zeros_like(z)
+    for anchor in range(len(z)):
+        try:
+            sets = build_sets(keys, anchor)
+        except EmptyPositiveSet:
+            continue
+        if sets.positives.size:
+            loss, g = per_sample_loss(z, sets, tau)
+            losses.append(loss)
+            grad += g
+    if not losses:
+        return 0.0, grad
+    return sum(losses) / len(losses), grad / len(losses)
+
+
+def reference_step(mlp, velocity, store, config, batch_l, batch_u):
+    """One epoch-0 iteration built by hand, one anchor and one view at a time:
+    SupCon on the labeled views, SimCLR on the unlabeled views, the novel term
+    on the gated views under their pseudo-labels, KL at tau_n over every
+    unlabeled view, a plain momentum-SGD step, then the EMA from the
+    embeddings taken before the step. Moves `mlp`, `velocity` and `store` in
+    place; returns the loss breakdown and the number of gated views."""
+    w = config.weights
+    z_l, tape_l = forward(mlp, batch_l.inputs)
+    z_u, tape_u = forward(mlp, batch_u.inputs)
+    lam = calibrate_threshold(z_l, store, config.p)
+    novel = np.flatnonzero((z_u @ store.matrix[:store.n_known].T).max(axis=1) < lam)
+    pseudo = np.argmax(z_u[novel] @ store.matrix.T, axis=1)
+
+    l, g_l = mean_anchor_loss(z_l, build_sets_supcon, batch_l.labels, w.tau_l)
+    u, g_u = mean_anchor_loss(z_u, build_sets_simclr, batch_u.sample_ids, w.tau_u)
+    n, g_n = mean_anchor_loss(z_u[novel], build_sets_novel, pseudo, w.tau_n)
+    k = store.n_classes
+    kl, g_kl = kl_regularizer(z_u, store.matrix, w.tau_n, np.full(k, 1.0 / k))
+    total = w.lambda_l * l + w.lambda_u * u + w.lambda_n * n + w.kl_weight * kl
+    grad_u = w.lambda_u * g_u + w.kl_weight * g_kl
+    grad_u[novel] += w.lambda_n * g_n
+    grads = backward(mlp, tape_l, w.lambda_l * g_l)
+    grads.add_(backward(mlp, tape_u, grad_u))
+
+    for name, param in mlp.params().items():
+        decay = config.weight_decay * param if name.startswith("w") else 0.0
+        v = velocity.params()[name]
+        v[...] = config.momentum * v + grads.params()[name] + decay
+        param -= config.lr * v
+
+    def pull(c, z):
+        v = config.gamma * store.matrix[c] + (1.0 - config.gamma) * z
+        store.matrix[c] = v / np.sqrt(np.sum(v * v))
+        store.assignment_counts[c] += 1
+
+    for z, c in zip(z_l, batch_l.labels):
+        pull(c, z)
+    for z in z_u[novel]:
+        pull(store.n_known + np.argmax(store.matrix[store.n_known:] @ z), z)
+    return LossBreakdown(total, l, u, n, kl), novel.size
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestIterationOracle:
+    @pytest.mark.parametrize("overrides", [{}, {"p": 0.0}], ids=["default", "p0"])
+    def test_steps_match_the_hand_built_iteration(self, overrides):
+        split = tiny_split()
+        config = tiny_config(**overrides)
+        mlp, optimizer, store, sampler = step_parts(config, split)
+        ref_mlp, ref_velocity, ref_store = mlp.copy(), optimizer.velocity.copy(), store.copy()
+        novel_terms = []
+        for i, (batch_l, batch_u) in zip(range(3), sampler.epoch()):
+            breakdown, _, gated, views = train_step(mlp, optimizer, store, config,
+                                                    batch_l, batch_u, 0, i)
+            want, want_gated = reference_step(ref_mlp, ref_velocity, ref_store, config,
+                                              batch_l, batch_u)
+            assert gated == want_gated
+            assert gated == views if config.p == 0 else 0 < gated < views
+            assert_close(dataclasses.astuple(breakdown), dataclasses.astuple(want))
+            novel_terms.append(want.n)
+            for got, ref in ((mlp, ref_mlp), (optimizer.velocity, ref_velocity)):
+                for name, value in got.params().items():
+                    assert_close(value, ref.params()[name])
+            assert_close(store.matrix, ref_store.matrix)
+            np.testing.assert_array_equal(store.assignment_counts,
+                                          ref_store.assignment_counts)
+        assert all(novel_terms)
+
+
 class TestAblate:
     def test_rows_and_shared_split(self):
         split = tiny_split()
@@ -417,7 +517,10 @@ class TestPoolEvaluation:
         assert got_preds.dtype == preds.dtype
         np.testing.assert_array_equal(got_preds, preds)
         assert detection_report(mlp, store, split, tau) == detection
-        assert evaluate_and_detect(mlp, store, split, tau) == (triple, detection)
+        joint_triple, joint_preds, joint_detection = trainer._evaluate(mlp, store, split,
+                                                                       True, tau)
+        assert (joint_triple, joint_detection) == (triple, detection)
+        np.testing.assert_array_equal(joint_preds, preds)
 
     def test_detection_memory_scales_with_the_block(self):
         # 20,000 rows: one (n, h) or (n, d) float64 array alone is 20.5 MB
@@ -449,7 +552,7 @@ class TestPoolEvaluation:
             message = f"cannot evaluate with non-finite {target}"
         threads, _ = forward_calls(monkeypatch)
         with pytest.raises(OpenConError) as exc:
-            evaluate_and_detect(mlp, store, split, 0.7)
+            trainer._evaluate(mlp, store, split, True, 0.7)
         assert str(exc.value) == message
         assert len(threads) == (1 if target == "row" else 0)
 
@@ -743,7 +846,9 @@ class TestDetectionReport:
         result = train(tiny_config(epochs=2), split)
         assert detection_report(result.mlp, result.store, split, 0.7) == {}
         triple, _ = evaluate_model(result.mlp, result.store, split)
-        assert evaluate_and_detect(result.mlp, result.store, split, 0.7) == (triple, {})
+        joint_triple, _, joint_detection = trainer._evaluate(result.mlp, result.store, split,
+                                                             True, 0.7)
+        assert (joint_triple, joint_detection) == (triple, {})
 
 
 def test_config_defaults_are_the_sub_config_defaults():
@@ -775,9 +880,9 @@ class TestOneSidedPool:
     def test_invalid_tau_raises_before_any_pass(self, tau, monkeypatch):
         mlp, store, split = one_sided_model()
         threads, _ = forward_calls(monkeypatch)
-        for evaluate in (detection_report, evaluate_and_detect):
+        for evaluate, args in ((detection_report, (tau,)), (trainer._evaluate, (True, tau))):
             with pytest.raises(InvalidTemperature, match="tau must be finite and > 0"):
-                evaluate(mlp, store, split, tau)
+                evaluate(mlp, store, split, *args)
         assert threads == []
 
 
@@ -796,10 +901,10 @@ class TestKnownRowsMustMatchTheSplit:
         message = (f"the model's known prototype rows {rows} are not the "
                    f"split's known classes {classes}")
         threads, _ = forward_calls(monkeypatch)
-        for evaluate, tau in ((evaluate_model, ()), (detection_report, (0.7,)),
-                              (evaluate_and_detect, (0.7,))):
+        for evaluate, args in ((evaluate_model, ()), (detection_report, (0.7,)),
+                               (trainer._evaluate, (True, 0.7))):
             with pytest.raises(VersionMismatch) as exc:
-                evaluate(mlp, other, split, *tau)
+                evaluate(mlp, other, split, *args)
             assert str(exc.value) == message
         assert threads == []
 
